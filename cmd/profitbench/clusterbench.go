@@ -77,10 +77,6 @@ func runClusterBench(name string, txns, items int, minsup float64, maxLen int, s
 	if err != nil {
 		fail(err)
 	}
-	var modelBuf bytes.Buffer
-	if err := profitmining.WriteModel(&modelBuf, ds.Catalog, nil, rec); err != nil {
-		fail(err)
-	}
 
 	// Coordinator first: replicas need its URL to join.
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
@@ -91,7 +87,7 @@ func runClusterBench(name string, txns, items int, minsup float64, maxLen int, s
 	}
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
-	coord.SetModel(modelBuf.Bytes())
+	coord.SetModel(rec.Sealed().Arena().Bytes())
 
 	stacks := make([]*benchStack, clusterReplicas)
 	urls := make([]string, clusterReplicas)

@@ -70,7 +70,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -240,7 +239,7 @@ func main() {
 			}
 		}
 		if *window > 0 {
-			r, err := windowedRefresher(ds, spec, opts, *window, *slide, reg)
+			r, err := windowedRefresher(ds, opts, *window, *slide, reg)
 			if err != nil {
 				fail(err)
 			}
@@ -446,16 +445,14 @@ func runCoordinator(f coordinatorFlags) {
 	case f.window > 0 && f.dataPath == "":
 		fail(fmt.Errorf("-window requires -data (the window slides over the dataset's transactions)"))
 	case f.modelPath != "":
-		// Validate before distributing: a broken file should fail
-		// startup, not poison the whole fleet.
-		if err := profitmining.VerifyModel(f.modelPath); err != nil {
-			fail(fmt.Errorf("verifying %s: %w", f.modelPath, err))
-		}
-		data, err := os.ReadFile(f.modelPath)
+		// Load (and so verify) before distributing: a broken file should
+		// fail startup, not poison the whole fleet. Either format loads;
+		// the fleet always receives the model's sealed image.
+		_, rec, err := profitmining.LoadModel(f.modelPath)
 		if err != nil {
-			fail(err)
+			fail(fmt.Errorf("loading %s: %w", f.modelPath, err))
 		}
-		coord.SetModel(data)
+		coord.SetModel(rec.Sealed().Arena().Bytes())
 	case f.dataPath != "":
 		ds, spec, err := profitmining.LoadDataset(f.dataPath)
 		if err != nil {
@@ -469,22 +466,18 @@ func runCoordinator(f coordinatorFlags) {
 		}
 		// The coordinator's registry exists to gate and distribute, not
 		// to serve: there is no local traffic to shadow, so promotion is
-		// immediate and OnPromote fans the model out to the fleet.
+		// immediate and OnPromote fans the promoted image out to the
+		// fleet.
 		reg, err := registry.New(registry.Options{
 			OnPromote: func(snap *registry.Snapshot) {
-				var buf bytes.Buffer
-				if err := profitmining.WriteModel(&buf, snap.Cat, spec, snap.Rec); err != nil {
-					log.Printf("encoding promoted model v%d: %v", snap.Version, err)
-					return
-				}
-				coord.SetModel(buf.Bytes())
+				coord.SetModel(snap.Rec.Sealed().Arena().Bytes())
 			},
 		})
 		if err != nil {
 			fail(err)
 		}
 		if f.window > 0 {
-			r, err := windowedRefresher(ds, spec, opts, f.window, f.slide, reg)
+			r, err := windowedRefresher(ds, opts, f.window, f.slide, reg)
 			if err != nil {
 				fail(err)
 			}
@@ -545,7 +538,7 @@ func runCoordinator(f coordinatorFlags) {
 // remaining transactions (wrapping around when the dataset is
 // exhausted). Each refreshed candidate flows through the registry's
 // validate → shadow → promote lifecycle like any other submission.
-func windowedRefresher(ds *profitmining.Dataset, spec *profitmining.HierarchySpec, opts profitmining.Options, window, slide int, reg *registry.Registry) (*incremental.Refresher, error) {
+func windowedRefresher(ds *profitmining.Dataset, opts profitmining.Options, window, slide int, reg *registry.Registry) (*incremental.Refresher, error) {
 	if window > len(ds.Transactions) {
 		window = len(ds.Transactions)
 	}
@@ -566,7 +559,6 @@ func windowedRefresher(ds *profitmining.Dataset, spec *profitmining.HierarchySpe
 	refresher, err := incremental.NewRefresher(incremental.RefreshConfig{
 		Maintainer: maint,
 		Catalog:    ds.Catalog,
-		Spec:       spec,
 		Source:     ds.Transactions,
 		Start:      window % len(ds.Transactions),
 		Slide:      slide,

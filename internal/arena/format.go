@@ -38,12 +38,12 @@
 //     O(rules) or O(items). A truncated file or a damaged header fails
 //     Open; payload bit-flips and the linear structural scans
 //     (expansion offsets, catalog bounds) are Verify's job, which
-//     stagers (registry, cluster sync, profitminer -seal) run once per
+//     stagers (registry watcher, cluster sync) run once per
 //     new content hash. Catalog materialization is deferred to the
 //     first Catalog call and memoized.
 //   - Views index into one global rule table; *rules.Rule pointers
-//     never exist for a sealed model, which is what makes open time
-//     independent of model size.
+//     never exist for a model opened from a file, which is what makes
+//     open time independent of model size.
 package arena
 
 // magic identifies a sealed model file; the trailing digit is the

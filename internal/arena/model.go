@@ -129,6 +129,16 @@ func (t *RuleTable) Body(i int32) []genID {
 //hot:path
 func (t *RuleTable) BodyLen(i int32) int32 { return t.BodyOff[i+1] - t.BodyOff[i] }
 
+// Conf returns rule i's confidence, hits per body match, guarding the
+// division exactly as rules.Rule.Conf does: a rule with no body matches
+// has confidence 0, never NaN.
+func (t *RuleTable) Conf(i int32) float64 {
+	if t.BodyCount[i] == 0 {
+		return 0
+	}
+	return float64(t.Hits[i]) / float64(t.BodyCount[i])
+}
+
 // ID returns rule i's stable content-hash identity ("r"+16 hex,
 // rules.StableID) as a zero-copy string over the mapping.
 //

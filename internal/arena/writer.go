@@ -46,8 +46,8 @@ func (w *Writer) PutBytes(sec int, v []byte) { w.secs[sec] = v }
 
 // Finish lays the sections out 8-byte aligned in table order, writes
 // the header and section table, and seals the image with its sha256.
-// The result round-trips through OpenBytes; Seal callers re-open it as
-// a self-check.
+// The result round-trips through OpenBytes, which is how the sealing
+// code opens the image it then serves from.
 func (w *Writer) Finish() ([]byte, error) {
 	w.secs[SecMeta] = encodeMeta(w.meta)
 

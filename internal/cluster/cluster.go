@@ -33,8 +33,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"profitmining/internal/modelio"
 )
 
 // Wire headers of the cluster protocol.
@@ -69,21 +67,11 @@ const (
 // at 64 MiB by default; double that bounds a misbehaving shipper.
 const maxShippedSegment = 128 << 20
 
-// hashBytes is the cluster's content hash (hex sha256), matching
-// registry.HashBytes so model distribution and segment addressing use
-// one identity scheme.
+// hashBytes is the content address of shipped segments (hex sha256),
+// matching registry.HashBytes.
 func hashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// modelHash is the identity of a distributed model image: sealed
-// images reuse their embedded header checksum (no hashing pass, and
-// the same value the serving registry's watcher stages by), JSON
-// models hash as before. Coordinator and replica both key on this, so
-// one sealed file keeps a single content hash fleet-wide.
-func modelHash(data []byte) string {
-	return modelio.ContentHash(data)
 }
 
 // retryAfter parses a Retry-After header (seconds form) into a

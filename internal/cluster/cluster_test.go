@@ -17,7 +17,6 @@ import (
 
 	"profitmining/internal/core"
 	"profitmining/internal/datagen"
-	"profitmining/internal/dataio"
 	"profitmining/internal/feedback"
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/mining"
@@ -26,8 +25,8 @@ import (
 	"profitmining/internal/serve"
 )
 
-// testModel builds one small grocery model and serializes it — the
-// image the coordinator distributes. Built once and cached: mining is
+// testModel builds one small grocery model and returns its sealed
+// image — what the coordinator distributes. Built once and cached: mining is
 // deterministic, and every test wants the same model.
 var (
 	testModelOnce  sync.Once
@@ -54,26 +53,7 @@ func testModel(t testing.TB) []byte {
 			testModelErr = err
 			return
 		}
-		spec := &dataio.HierarchySpec{
-			Concepts: []dataio.ConceptSpec{
-				{Name: "Cosmetics"},
-				{Name: "Food"},
-				{Name: "Meat", Parents: []string{"Food"}},
-				{Name: "Bakery", Parents: []string{"Food"}},
-			},
-			Placements: map[string][]string{
-				"Perfume":       {"Cosmetics"},
-				"Shampoo":       {"Cosmetics"},
-				"FlakedChicken": {"Meat"},
-				"Bread":         {"Bakery"},
-			},
-		}
-		var buf bytes.Buffer
-		if err := modelio.Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
-			testModelErr = err
-			return
-		}
-		testModelBytes = buf.Bytes()
+		testModelBytes, testModelErr = modelio.Seal(g.Dataset.Catalog, rec)
 	})
 	if testModelErr != nil {
 		t.Fatal(testModelErr)

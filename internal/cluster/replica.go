@@ -257,7 +257,10 @@ func (r *Replica) SyncModel(ctx context.Context) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("cluster: reading model body: %w", err)
 	}
-	hash := modelHash(data)
+	hash := modelio.ContentHash(data)
+	if hash == "" {
+		return false, fmt.Errorf("cluster: pulled model is not a sealed image")
+	}
 	if claimed := resp.Header.Get(modelHashHeader); claimed != "" && claimed != hash {
 		return false, fmt.Errorf("cluster: model hash mismatch: coordinator claims %.8s, body hashes to %.8s", claimed, hash)
 	}
@@ -268,13 +271,13 @@ func (r *Replica) SyncModel(ctx context.Context) (bool, error) {
 		// Already pulled and awaiting shadow promotion; don't re-stage.
 		return false, nil
 	}
-	// Sealed images open zero-copy (verified against the same checksum
-	// the hash above came from); JSON models decode as before.
+	// The image opens zero-copy, verified against the same checksum
+	// the hash above came from.
 	cat, rec, err := modelio.LoadBytes(data)
 	if err != nil {
 		return false, fmt.Errorf("cluster: decoding pulled model %.8s: %w", hash, err)
 	}
-	snap, outcome, err := r.cfg.Registry.Submit(cat, rec, "cluster sync from "+r.cfg.Coordinator, hash)
+	snap, outcome, err := r.cfg.Registry.Submit(cat, rec, "cluster sync from "+r.cfg.Coordinator, "")
 	if err != nil {
 		return false, fmt.Errorf("cluster: submitting pulled model %.8s: %w", hash, err)
 	}

@@ -219,7 +219,10 @@ func (d *TreeDelta) Update(txns []model.Transaction, expanded [][]hierarchy.GenI
 	final := collectRules(root)
 	rules.SortByRank(final)
 	alt := computeAlternates(d.space, all)
-	rec := assemble(d.space, root, final, alt, len(all), len(kept))
+	rec, err := assemble(d.space, root, final, alt, len(all), len(kept))
+	if err != nil {
+		return nil, err
+	}
 
 	d.prevLen = len(txns)
 	d.best = newBest

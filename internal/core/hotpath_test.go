@@ -2,9 +2,10 @@ package core
 
 // Hot-path coverage: zero-allocation guards for the steady-state
 // recommend path, benchmarks tracking its latency, and white-box
-// equivalence tests pinning the pooled/flattened fast path to a
-// straightforward reference implementation of the pre-optimization
-// algorithm (ExpandBasket + map-collected per-item winners).
+// equivalence tests pinning the pooled walk over the sealed image to a
+// straightforward reference implementation the test builds itself from
+// the build output (pointer matchers over Rules and Alternates,
+// ExpandBasket, map-collected per-item winners).
 
 import (
 	"fmt"
@@ -125,35 +126,51 @@ func newBenchWorld(tb testing.TB, n, nonTargets, targets int, seed int64) *bench
 	return w
 }
 
-// referenceTopK re-implements the pre-optimization RecommendTopK
-// verbatim: allocate-sort-dedup basket expansion, callback matching into
-// a map keyed by item, delete-after-scan of the MPF winner, SortByRank.
-// It is the behavioral golden the pooled fast path must match.
-func referenceTopK(r *Recommender, basket model.Basket, k int) []Recommendation {
+// reference is the behavioral golden the sealed fast path must match:
+// pointer matchers built from the recommender's build output, never
+// from its image.
+type reference struct {
+	space      *hierarchy.Space
+	matcher    *rules.Matcher
+	alternates *rules.Matcher
+}
+
+func newReference(r *Recommender) *reference {
+	return &reference{
+		space:      r.Space(),
+		matcher:    rules.NewMatcher(r.Rules()),
+		alternates: rules.NewMatcher(r.Alternates()),
+	}
+}
+
+// topK re-implements the pre-optimization RecommendTopK verbatim:
+// allocate-sort-dedup basket expansion, callback matching into a map
+// keyed by item, delete-after-scan of the MPF winner, SortByRank.
+func (ref *reference) topK(basket model.Basket, k int) []*rules.Rule {
 	if k <= 0 {
 		return nil
 	}
-	expanded := r.space.ExpandBasket(basket)
-	first := r.matcher.Best(expanded)
-	out := []Recommendation{r.toRecommendation(first)}
+	expanded := ref.space.ExpandBasket(basket)
+	first := ref.matcher.Best(expanded)
+	out := []*rules.Rule{first}
 	if k == 1 {
 		return out
 	}
 	bestPerItem := map[model.ItemID]*rules.Rule{}
-	r.alternates.MatchAll(expanded, func(rule *rules.Rule) {
-		item := r.space.ItemOf(rule.Head)
+	ref.alternates.MatchAll(expanded, func(rule *rules.Rule) {
+		item := ref.space.ItemOf(rule.Head)
 		if cur, ok := bestPerItem[item]; !ok || rules.Outranks(rule, cur) {
 			bestPerItem[item] = rule
 		}
 	})
-	delete(bestPerItem, r.space.ItemOf(first.Head))
+	delete(bestPerItem, ref.space.ItemOf(first.Head))
 	rest := make([]*rules.Rule, 0, len(bestPerItem))
 	for _, rule := range bestPerItem {
 		rest = append(rest, rule)
 	}
 	rules.SortByRank(rest)
 	for _, rule := range rest {
-		out = append(out, r.toRecommendation(rule))
+		out = append(out, rule)
 		if len(out) == k {
 			break
 		}
@@ -161,23 +178,32 @@ func referenceTopK(r *Recommender, basket model.Basket, k int) []Recommendation 
 	return out
 }
 
+// checkRecs requires got to be exactly the recommendations of want's
+// rules: same rule, item, promo and stable ID per slot.
+func (ref *reference) checkRecs(t *testing.T, what string, got []Recommendation, want []*rules.Rule) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d recs, want %d", what, len(got), len(want))
+	}
+	for j, rule := range want {
+		g := got[j]
+		if g.Rule != rule || g.Item != ref.space.ItemOf(rule.Head) || g.Promo != ref.space.PromoOf(rule.Head) ||
+			g.ID != rules.StableID(ref.space, rule) || g.Idx < 0 {
+			t.Fatalf("%s slot %d: got %+v, want rule %s", what, j, g, rule.String(ref.space))
+		}
+	}
+}
+
 // TestRecommendMatchesReference pins Recommend and RecommendTopK to the
 // reference implementation over a few thousand random baskets.
 func TestRecommendMatchesReference(t *testing.T) {
 	w := newBenchWorld(t, 2000, 40, 8, 11)
+	ref := newReference(w.rec)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
 		basket := w.baskets[rng.Intn(len(w.baskets))]
-		want := referenceTopK(w.rec, basket, 5)
 		got := w.rec.RecommendTopK(basket, 5)
-		if len(got) != len(want) {
-			t.Fatalf("basket %d: got %d recs, want %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("basket %d slot %d: got %+v, want %+v", i, j, got[j], want[j])
-			}
-		}
+		ref.checkRecs(t, fmt.Sprintf("basket %d", i), got, ref.topK(basket, 5))
 		if got[0] != w.rec.Recommend(basket) {
 			t.Fatalf("basket %d: Recommend disagrees with RecommendTopK[0]", i)
 		}
@@ -217,17 +243,14 @@ func TestRecommendTopKSkipsFirstItemAlternates(t *testing.T) {
 		seen[r.Item] = true
 	}
 	// The reference path must agree exactly.
-	want := referenceTopK(rec, basket, 4)
-	for j := range want {
-		if recs[j] != want[j] {
-			t.Fatalf("slot %d: got %+v, want %+v", j, recs[j], want[j])
-		}
-	}
+	ref := newReference(rec)
+	ref.checkRecs(t, "Bread basket", recs, ref.topK(basket, 4))
 }
 
-// TestExplainUsesIndex pins Explain's output to the recursive reference
-// search it replaced, for every rule in the tree and for an alternate
-// rule outside it.
+// TestExplainUsesIndex pins Explain's output — the lineage rendered into
+// the image at seal time — to a recursive reference search of the
+// covering tree, for every rule in the tree and for an alternate rule
+// outside it.
 func TestExplainUsesIndex(t *testing.T) {
 	w := newBenchWorld(t, 2000, 40, 8, 7)
 	refFind := func(root *Node, rule *rules.Rule) *Node {
@@ -249,7 +272,7 @@ func TestExplainUsesIndex(t *testing.T) {
 		node := refFind(w.rec.tree, rec.Rule)
 		var out []string
 		out = append(out, fmt.Sprintf("recommend %s [rule %s]: fired %s",
-			w.rec.space.Name(w.rec.space.PromoNode(rec.Promo)), w.rec.RuleID(rec.Rule), rec.Rule.String(w.rec.space)))
+			w.rec.space.Name(w.rec.space.PromoNode(rec.Promo)), rules.StableID(w.rec.space, rec.Rule), rec.Rule.String(w.rec.space)))
 		for n := node; n != nil && n.Parent != nil; n = n.Parent {
 			out = append(out, fmt.Sprintf("  fallback: %s", n.Parent.Rule.String(w.rec.space)))
 		}
@@ -335,21 +358,21 @@ func BenchmarkRecommendTopK(b *testing.B) {
 // every bench run shows the fast path's margin over it.
 func BenchmarkRecommendReference(b *testing.B) {
 	w := newBenchWorld(b, 4000, 60, 10, 3)
+	ref := newReference(w.rec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		expanded := w.space.ExpandBasket(w.baskets[i%len(w.baskets)])
-		best := w.rec.matcher.Best(expanded)
-		_ = w.rec.toRecommendation(best)
+		ref.topK(w.baskets[i%len(w.baskets)], 1)
 	}
 }
 
 func BenchmarkRecommendTopKReference(b *testing.B) {
 	w := newBenchWorld(b, 4000, 60, 10, 3)
+	ref := newReference(w.rec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		referenceTopK(w.rec, w.baskets[i%len(w.baskets)], 5)
+		ref.topK(w.baskets[i%len(w.baskets)], 5)
 	}
 }
 

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"profitmining/internal/arena"
@@ -76,35 +77,26 @@ type BuildStats struct {
 
 // Recommender is the built model: a pruned rule set with MPF selection.
 // It is immutable and safe for concurrent use.
+//
+// Every recommender serves from its sealed arena image (modelio format
+// v3): Build, TreeDelta.Update and Restore seal the model where they
+// assemble it, and FromSealed wraps an image opened from disk. A built
+// recommender additionally keeps its build output — space, covering
+// tree and rule lists — for inspection and persistence (Tree, Rules,
+// Alternates, Report, modelio.Save) and to fill Recommendation.Rule;
+// none of it is on the serving path.
 type Recommender struct {
-	space   *hierarchy.Space
-	final   []*rules.Rule
-	matcher *rules.Matcher
-	tree    *Node
-	stats   BuildStats
+	// Build output; all nil for an image opened from disk.
+	space *hierarchy.Space
+	final []*rules.Rule // final rules in MPF rank order
+	alt   []*rules.Rule // per-item alternates, in matcher trie order
+	tree  *Node
+	table []*rules.Rule // the rule behind each image rule-table index
 
-	// sealed, when non-nil, marks an arena-backed recommender
-	// (FromSealed): every field above except stats is nil, and the
-	// recommend paths walk the arena's index-based views instead. exp
-	// caches the arena's expansion view so the hot path does not
-	// re-derive it per call.
-	sealed *arena.Model
-	exp    hierarchy.Expansions
-
-	// alternates holds, per target item, the non-dominated rules for that
-	// item alone. RecommendTopK uses it to offer a distinct best rule per
-	// item even when global MPF domination kept only one head per body.
-	alternates *rules.Matcher
-
-	// ruleNode indexes the covering tree by rule, so Explain is one map
-	// lookup instead of a recursive tree search per call. Alternate rules
-	// that were pruned from (or never entered) the tree are absent.
-	ruleNode map[*rules.Rule]*Node
-
-	// ids caches every servable rule's stable content-hash identity
-	// (rules.StableID), precomputed at assemble so the recommend hot path
-	// attaches identity with one map lookup and zero hashing.
-	ids map[*rules.Rule]string
+	// image is the sealed serving image; exp caches its expansion view
+	// so the hot path does not re-derive it per call.
+	image *arena.Model
+	exp   hierarchy.Expansions
 
 	// scratch pools the per-call working state of Recommend and
 	// RecommendTopK, keyed per recommender because the dense
@@ -113,23 +105,17 @@ type Recommender struct {
 }
 
 // scratch is the reusable per-call state of the recommend hot path. All
-// slices keep their backing storage between calls; bestPerItem is a
-// dense table indexed by model.ItemID (assigned from 1, so its length
-// is NumItems()+1) that is cleared back to nil via the touched list —
-// O(touched), not O(items) — before the scratch is returned.
+// slices keep their backing storage between calls; best is a dense
+// table indexed by model.ItemID (assigned from 1, so its length is
+// NumItems+1) holding rule-table index+1 so the zero value means empty,
+// and it is cleared back to zero via the touched list — O(touched), not
+// O(items) — before the scratch is returned.
 type scratch struct {
-	expanded    []hierarchy.GenID
-	matches     []*rules.Rule
-	bestPerItem []*rules.Rule
-	touched     []model.ItemID
-	rest        []*rules.Rule
-
-	// Sealed-mode twins: rule-table indices instead of pointers. bestIdx
-	// stores index+1 so the zero value means empty; only the mode a
-	// recommender runs in allocates its table (see FromSealed/assemble).
-	matchIdx []int32
-	bestIdx  []int32
-	restIdx  []int32
+	expanded []hierarchy.GenID
+	matches  []int32
+	best     []int32
+	touched  []model.ItemID
+	rest     []int32
 }
 
 func (r *Recommender) getScratch() *scratch {
@@ -149,13 +135,16 @@ func (r *Recommender) putScratch(sc *scratch) {
 type Recommendation struct {
 	Item  model.ItemID
 	Promo model.PromoID
-	Rule  *rules.Rule
-	ID    string
 
-	// Idx is the fired rule's arena rule-table index when the recommender
-	// is sealed (Rule is nil then); -1 otherwise. The serving layer uses
-	// it to fetch the pre-marshaled recommendation blob without touching
-	// heap rule objects.
+	// Rule is the fired rule of a built recommender; nil for an image
+	// opened from disk, which has no heap rules.
+	Rule *rules.Rule
+	ID   string
+
+	// Idx is the fired rule's index in the image's rule table; the
+	// serving layer writes that rule's pre-marshaled blob. It is -1 only
+	// when nothing matched, impossible for a valid model (the default
+	// rule matches every basket).
 	Idx int32
 }
 
@@ -202,7 +191,7 @@ func Build(space *hierarchy.Space, txns []model.Transaction, mined *mining.Resul
 
 	alt := computeAlternates(space, all)
 
-	return assemble(space, root, final, alt, len(all), len(kept)), nil
+	return assemble(space, root, final, alt, len(all), len(kept))
 }
 
 // normalized applies Config defaults and validates the explicit fields.
@@ -243,56 +232,55 @@ func computeAlternates(space *hierarchy.Space, all []*rules.Rule) []*rules.Rule 
 	return alt
 }
 
-// assemble wires the derived serving structures — matchers, the
-// rule-to-node index, and the pooled per-call scratch — around a built
-// or restored covering tree. final must be collectRules(root) in rank
-// order; alt is the per-item alternate rule list in rank order.
-func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, generated, nonDominated int) *Recommender {
-	r := &Recommender{
-		space:      space,
-		final:      final,
-		matcher:    rules.NewMatcher(final),
-		alternates: rules.NewMatcher(alt),
-		tree:       root,
-		ruleNode:   make(map[*rules.Rule]*Node, len(final)),
-		stats: BuildStats{
-			RulesGenerated:    generated,
-			RulesNonDominated: nonDominated,
-			RulesFinal:        len(final),
-			ProjectedProfit:   treeProjected(root),
-			TreeDepth:         depth(root),
-		},
+// assemble seals a built or restored covering tree into the image the
+// recommender serves from, keeping the tree and rule lists as build
+// output. final must be collectRules(root) in rank order; alt is the
+// per-item alternate rule list in rank order. It is the common exit of
+// Build, TreeDelta.Update and Restore.
+func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
+	// NewMatcher always flattens, so both trie views exist.
+	mainView, _ := rules.NewMatcher(final).TrieView()
+	altm := rules.NewMatcher(alt)
+	altView, _ := altm.TrieView()
+	r := &Recommender{space: space, final: final, tree: root}
+	altm.MatchAllRules(func(rule *rules.Rule) { r.alt = append(r.alt, rule) })
+
+	st := BuildStats{
+		RulesGenerated:    generated,
+		RulesNonDominated: nonDominated,
+		RulesFinal:        len(final),
+		ProjectedProfit:   treeProjected(root),
+		TreeDepth:         depth(root),
 	}
-	var index func(*Node)
-	index = func(n *Node) {
-		r.ruleNode[n.Rule] = n
-		for _, c := range n.Children {
-			index(c)
-		}
+	data, table, err := seal(space, root, final, r.alt, mainView, altView, st)
+	if err != nil {
+		return nil, err
 	}
-	index(root)
-	r.ids = make(map[*rules.Rule]string, len(r.ruleNode)+len(alt))
-	for rule := range r.ruleNode {
-		r.ids[rule] = rules.StableID(space, rule)
+	m, err := arena.OpenBytes(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: sealed image fails to re-open: %w", err)
 	}
-	for _, rule := range alt {
-		if _, ok := r.ids[rule]; !ok {
-			r.ids[rule] = rules.StableID(space, rule)
-		}
-	}
-	numItems := space.Catalog().NumItems()
+	r.table = table
+	r.serveFrom(m)
+	return r, nil
+}
+
+// serveFrom points the recommender's serving path at image m.
+func (r *Recommender) serveFrom(m *arena.Model) {
+	r.image = m
+	r.exp = m.Expansions()
+	numItems := m.Meta().NumItems
 	r.scratch.New = func() any {
-		return &scratch{bestPerItem: make([]*rules.Rule, numItems+1)}
+		return &scratch{best: make([]int32, numItems+1)}
 	}
-	return r
 }
 
 // Restore reassembles a Recommender from a previously built covering
 // tree and per-item alternate rules — the deserialization path of model
 // persistence (internal/modelio). The tree must be the pruned tree of a
 // prior Build over an identically compiled space; Restore recomputes the
-// derived structures (matchers, rank order, statistics) but does not
-// re-estimate anything.
+// derived structures (rank order, statistics, the sealed image) but does
+// not re-estimate anything.
 func Restore(space *hierarchy.Space, root *Node, alternates []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
 	if space == nil || root == nil {
 		return nil, fmt.Errorf("core: nil space or tree")
@@ -304,9 +292,9 @@ func Restore(space *hierarchy.Space, root *Node, alternates []*rules.Rule, gener
 	rules.SortByRank(final)
 	// The serialized form stores alternates by value, so a rule that is
 	// both in the tree and a per-item alternate decodes as two objects.
-	// Build shares one pointer for both roles, and Explain's lineage
-	// lookup is keyed by pointer — re-alias such alternates to the
-	// tree's object so a restored model explains (and re-seals)
+	// Build shares one pointer for both roles, and sealing keys the rule
+	// table and the explanation lineage by pointer — re-alias such
+	// alternates to the tree's object so a restored model seals
 	// identically to the model that was saved.
 	byID := make(map[string]*rules.Rule, len(final))
 	for _, rule := range final {
@@ -317,33 +305,48 @@ func Restore(space *hierarchy.Space, root *Node, alternates []*rules.Rule, gener
 			alternates[i] = shared
 		}
 	}
-	return assemble(space, root, final, alternates, generated, nonDominated), nil
+	return assemble(space, root, final, alternates, generated, nonDominated)
+}
+
+// FromSealed wraps an opened sealed image as a Recommender. Nothing is
+// decoded and nothing per-rule or per-item happens here, so
+// construction is O(1) in model size (even the heap catalog stays
+// unmaterialized until someone asks for it). The recommender has no
+// build output and keeps the image's mapping alive; callers own the
+// mapping's lifetime (registry snapshots close it on drain).
+func FromSealed(m *arena.Model) (*Recommender, error) {
+	if m == nil {
+		return nil, fmt.Errorf("core: nil sealed model")
+	}
+	r := &Recommender{}
+	r.serveFrom(m)
+	return r, nil
+}
+
+// Sealed returns the image the recommender serves from. The serving
+// layer writes pre-marshaled recommendation blobs straight from it, and
+// its embedded digest (ContentHash) is the model's identity.
+func (r *Recommender) Sealed() *arena.Model { return r.image }
+
+// Catalog returns the catalog the recommender serves against: the
+// catalog it was built over, or the image's lazily materialized one for
+// an image opened from disk. Every serving path reaches an opened image
+// through modelio's verified open, which materializes (or rejects) the
+// catalog before the recommender escapes, so the error is already
+// screened here; a nil return is only reachable on a recommender built
+// around an unverified, corrupt image.
+func (r *Recommender) Catalog() *model.Catalog {
+	if r.space != nil {
+		return r.space.Catalog()
+	}
+	cat, _ := r.image.Catalog() //lint:allow droppederr -- screened by modelio's verified open; see doc comment
+	return cat
 }
 
 // Alternates returns the per-item alternate rules backing RecommendTopK,
-// for persistence. The slice must not be modified. Sealed recommenders
-// return nil: their alternates live in the arena's rule table.
-func (r *Recommender) Alternates() []*rules.Rule {
-	if r.sealed != nil {
-		return nil
-	}
-	var out []*rules.Rule
-	r.alternates.MatchAllRules(func(rule *rules.Rule) { out = append(out, rule) })
-	return out
-}
-
-// MatcherViews exposes the flattened trie layouts of the final-rule
-// matcher and the per-item alternates matcher, for model sealing. ok is
-// false for sealed recommenders (nothing to re-seal) or when a matcher
-// was unsealed by a post-build Insert.
-func (r *Recommender) MatcherViews() (main, alt rules.TrieView, ok bool) {
-	if r.sealed != nil {
-		return rules.TrieView{}, rules.TrieView{}, false
-	}
-	main, ok1 := r.matcher.TrieView()
-	alt, ok2 := r.alternates.TrieView()
-	return main, alt, ok1 && ok2
-}
+// in matcher trie order, for persistence. The slice must not be
+// modified. Nil for an image opened from disk.
+func (r *Recommender) Alternates() []*rules.Rule { return r.alt }
 
 func depth(n *Node) int {
 	d := 0
@@ -360,18 +363,14 @@ func depth(n *Node) int {
 // guarantees a recommendation for any basket.
 //
 // The steady-state path is allocation-free: basket expansion merges
-// precomputed per-sale ancestor lists into a pooled buffer and the
-// matcher walk carries no per-call state.
+// precomputed per-sale ancestor lists into a pooled buffer, and the
+// trie walk over the image carries no per-call state.
 //
 //hot:path
 func (r *Recommender) Recommend(basket model.Basket) Recommendation {
-	if r.sealed != nil {
-		return r.recommendSealed(basket)
-	}
 	sc := r.getScratch()
-	sc.expanded = r.space.ExpandBasketInto(sc.expanded, basket)
-	best := r.matcher.Best(sc.expanded)
-	rec := r.toRecommendation(best)
+	sc.expanded = r.exp.ExpandBasketInto(sc.expanded, basket)
+	rec := r.toRecommendation(r.best(sc.expanded))
 	r.putScratch(sc)
 	return rec
 }
@@ -395,49 +394,47 @@ func (r *Recommender) RecommendTopK(basket model.Basket, k int) []Recommendation
 //
 //hot:path
 func (r *Recommender) RecommendTopKInto(dst []Recommendation, basket model.Basket, k int) []Recommendation {
-	if r.sealed != nil {
-		return r.recommendTopKIntoSealed(dst, basket, k)
-	}
 	dst = dst[:0]
 	if k <= 0 {
 		return dst
 	}
 	sc := r.getScratch()
-	sc.expanded = r.space.ExpandBasketInto(sc.expanded, basket)
-	first := r.matcher.Best(sc.expanded)
+	sc.expanded = r.exp.ExpandBasketInto(sc.expanded, basket)
+	first := r.best(sc.expanded)
 	dst = append(dst, r.toRecommendation(first))
-	if k == 1 {
+	if k == 1 || first < 0 {
 		r.putScratch(sc)
 		return dst
 	}
 
-	// Best matching alternate per remaining target item, in a dense
-	// table indexed by item ID. The MPF winner's item is skipped during
-	// the scan — filling its slot only to discard it afterwards would
-	// waste both the rank comparisons and the table operation.
-	firstItem := r.space.ItemOf(first.Head)
-	sc.matches = r.alternates.AppendMatches(sc.matches[:0], sc.expanded)
+	// Best matching alternate per remaining target item, in the dense
+	// table. The MPF winner's item is skipped during the scan — filling
+	// its slot only to discard it afterwards would waste both the rank
+	// comparisons and the table operation.
+	rt := r.image.Rules()
+	firstItem := rt.HeadItem[first]
+	sc.matches = appendMatches(r.image.Alternates(), sc.matches[:0], sc.expanded)
 	sc.touched = sc.touched[:0]
-	for _, rule := range sc.matches {
-		item := r.space.ItemOf(rule.Head)
+	for _, ri := range sc.matches {
+		item := rt.HeadItem[ri]
 		if item == firstItem {
 			continue
 		}
-		if cur := sc.bestPerItem[item]; cur == nil {
-			sc.bestPerItem[item] = rule
-			sc.touched = append(sc.touched, item)
-		} else if rules.Outranks(rule, cur) {
-			sc.bestPerItem[item] = rule
+		if cur := sc.best[item]; cur == 0 {
+			sc.best[item] = ri + 1
+			sc.touched = append(sc.touched, model.ItemID(item))
+		} else if rt.Outranks(ri, cur-1) {
+			sc.best[item] = ri + 1
 		}
 	}
 	sc.rest = sc.rest[:0]
 	for _, item := range sc.touched {
-		sc.rest = append(sc.rest, sc.bestPerItem[item])
-		sc.bestPerItem[item] = nil
+		sc.rest = append(sc.rest, sc.best[item]-1)
+		sc.best[item] = 0
 	}
-	rules.SortRanked(sc.rest)
-	for _, rule := range sc.rest {
-		dst = append(dst, r.toRecommendation(rule))
+	sortRanked(rt, sc.rest)
+	for _, ri := range sc.rest {
+		dst = append(dst, r.toRecommendation(ri))
 		if len(dst) == k {
 			break
 		}
@@ -446,58 +443,59 @@ func (r *Recommender) RecommendTopKInto(dst []Recommendation, basket model.Baske
 	return dst
 }
 
-func (r *Recommender) toRecommendation(rule *rules.Rule) Recommendation {
-	return Recommendation{
-		Item:  r.space.ItemOf(rule.Head),
-		Promo: r.space.PromoOf(rule.Head),
-		Rule:  rule,
-		ID:    r.RuleID(rule),
-		Idx:   -1,
+// toRecommendation builds the Recommendation for rule-table index i. ID
+// is a zero-copy string over the image's ID pool.
+//
+//hot:path
+func (r *Recommender) toRecommendation(i int32) Recommendation {
+	if i < 0 {
+		return Recommendation{Idx: -1}
 	}
-}
-
-// RuleID returns the rule's stable content-hash identity. Every rule a
-// built or restored recommender can serve (tree rules and per-item
-// alternates) is precomputed; anything else falls back to hashing.
-func (r *Recommender) RuleID(rule *rules.Rule) string {
-	if id, ok := r.ids[rule]; ok {
-		return id
+	rt := r.image.Rules()
+	rec := Recommendation{
+		Item:  model.ItemID(rt.HeadItem[i]),
+		Promo: model.PromoID(rt.HeadPromo[i]),
+		ID:    rt.ID(i),
+		Idx:   i,
 	}
-	if rule == nil || r.space == nil {
-		return ""
+	if int(i) < len(r.table) {
+		rec.Rule = r.table[i]
 	}
-	return rules.StableID(r.space, rule)
+	return rec
 }
 
 // Rules returns the final rules in MPF rank order. The slice must not be
-// modified.
+// modified. Nil for an image opened from disk.
 func (r *Recommender) Rules() []*rules.Rule { return r.final }
 
-// Stats returns construction statistics.
-func (r *Recommender) Stats() BuildStats { return r.stats }
+// Stats returns construction statistics, as sealed into the image.
+func (r *Recommender) Stats() BuildStats {
+	meta := r.image.Meta()
+	return BuildStats{
+		RulesGenerated:    meta.Generated,
+		RulesNonDominated: meta.NonDominated,
+		RulesFinal:        meta.NumFinal,
+		ProjectedProfit:   meta.ProjectedProfit,
+		TreeDepth:         meta.TreeDepth,
+	}
+}
 
-// Space returns the generalized-sale space the recommender operates on.
+// Space returns the generalized-sale space the recommender was built
+// over; nil for an image opened from disk.
 func (r *Recommender) Space() *hierarchy.Space { return r.space }
 
 // Tree returns the root of the (pruned) covering tree, for inspection and
-// explanation. The tree must not be modified.
+// explanation; nil for an image opened from disk. The tree must not be
+// modified.
 func (r *Recommender) Tree() *Node { return r.tree }
 
 // Explain renders the recommendation's rationale: the fired rule and its
-// covering-tree lineage up to the default rule. The node is found by one
-// index lookup; rules outside the tree (per-item alternates from
-// RecommendTopK) explain without a lineage, exactly as before.
+// covering-tree lineage up to the default rule, as rendered at seal
+// time. Rules outside the tree (per-item alternates from RecommendTopK)
+// explain without a lineage.
 func (r *Recommender) Explain(rec Recommendation) []string {
-	if r.sealed != nil {
-		return r.explainSealed(rec)
+	if rec.Idx < 0 {
+		return nil
 	}
-	node := r.ruleNode[rec.Rule]
-
-	var out []string
-	out = append(out, fmt.Sprintf("recommend %s [rule %s]: fired %s",
-		r.space.Name(r.space.PromoNode(rec.Promo)), r.RuleID(rec.Rule), rec.Rule.String(r.space)))
-	for n := node; n != nil && n.Parent != nil; n = n.Parent {
-		out = append(out, fmt.Sprintf("  fallback: %s", n.Parent.Rule.String(r.space)))
-	}
-	return out
+	return strings.Split(r.image.Rules().ExplainJoined(rec.Idx), "\n")
 }

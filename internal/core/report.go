@@ -16,7 +16,7 @@ import (
 // per-recommendation) level.
 func (r *Recommender) Report() string {
 	var b strings.Builder
-	st := r.stats
+	st := r.Stats()
 	fmt.Fprintf(&b, "model: %d rules (mined %d, non-dominated %d), covering-tree depth %d\n",
 		st.RulesFinal, st.RulesGenerated, st.RulesNonDominated, st.TreeDepth)
 	fmt.Fprintf(&b, "projected profit on covered customers: %.2f\n", st.ProjectedProfit)

@@ -8,10 +8,10 @@ import (
 
 // WireRecommendation is the serving wire shape of one scored
 // recommendation — the object POST /recommend returns per slot. It
-// lives in core (not the HTTP layer) because model sealing pre-marshals
-// these objects into the arena blob pool, and the sealed bytes must be
-// byte-identical to what the live encoder would produce. Field order is
-// part of the wire contract; do not reorder.
+// lives in core (not the HTTP layer) because sealing pre-marshals these
+// objects into the image's blob pool, and the sealed bytes are what the
+// server writes. Field order is part of the wire contract; do not
+// reorder.
 type WireRecommendation struct {
 	Item    string   `json:"item"`
 	PromoIx int      `json:"promoIx"`
@@ -37,36 +37,34 @@ func PromoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int 
 	return -1
 }
 
-// EncodeWire renders one recommendation of a heap-backed recommender
-// against its catalog. Every field is a function of the fired rule
-// alone, which is what lets both the serving blob cache and the sealed
-// arena precompute the marshaled form per rule.
-func EncodeWire(cat *model.Catalog, r *Recommender, rec Recommendation) WireRecommendation {
-	promo := cat.Promo(rec.Promo)
+// wireOf assembles the wire object of one fired rule. Every field is a
+// function of the rule alone, which is what lets sealing precompute the
+// marshaled form per rule.
+func wireOf(cat *model.Catalog, item model.ItemID, promo model.PromoID, profRe, conf float64, id, rule string, explain []string) WireRecommendation {
+	p := cat.Promo(promo)
 	return WireRecommendation{
-		Item:    cat.Item(rec.Item).Name,
-		PromoIx: PromoIndex(cat, rec.Item, rec.Promo),
-		Price:   promo.Price,
-		Cost:    promo.Cost,
-		Packing: promo.Packing,
-		Profit:  promo.Profit(),
-		ProfRe:  rec.Rule.ProfRe(),
-		Conf:    rec.Rule.Conf(),
-		RuleID:  r.RuleID(rec.Rule),
-		Rule:    rec.Rule.String(r.Space()),
-		Explain: r.Explain(rec),
+		Item:    cat.Item(item).Name,
+		PromoIx: PromoIndex(cat, item, promo),
+		Price:   p.Price,
+		Cost:    p.Cost,
+		Packing: p.Packing,
+		Profit:  p.Profit(),
+		ProfRe:  profRe,
+		Conf:    conf,
+		RuleID:  id,
+		Rule:    rule,
+		Explain: explain,
 	}
 }
 
-// MarshalWire is EncodeWire followed by json.Marshal, degrading one
-// slot (never the whole response) on a pathological value.
+// MarshalWire re-renders one recommendation against cat from the
+// image's rule columns and explanation, independently of the sealed
+// blob pool; for a consistent image the result equals the blob the
+// server writes for rec.
 func MarshalWire(cat *model.Catalog, r *Recommender, rec Recommendation) json.RawMessage {
-	data, err := json.Marshal(EncodeWire(cat, r, rec))
-	if err != nil {
-		// Unreachable for validated models (plain strings and finite
-		// floats); kept so a pathological value degrades one slot, not
-		// the whole response.
+	if rec.Idx < 0 {
 		return json.RawMessage(`{"error":"unencodable recommendation"}`)
 	}
-	return data
+	rt := r.image.Rules()
+	return marshalWire(wireOf(cat, rec.Item, rec.Promo, rt.ProfRe[rec.Idx], rt.Conf(rec.Idx), rec.ID, rt.String(rec.Idx), r.Explain(rec)))
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"profitmining/internal/model"
@@ -311,9 +312,10 @@ func TestCrossValidate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ds.Transactions = append(ds.Transactions, l.txn(i%4, 1))
 	}
-	builds := 0
+	// CrossValidate runs the builder for several folds concurrently.
+	var builds atomic.Int64
 	builder := func(train []model.Transaction) (Recommend, BuildInfo, error) {
-		builds++
+		builds.Add(1)
 		if len(train) != 40 {
 			t.Errorf("train size %d, want 40", len(train))
 		}
@@ -336,8 +338,8 @@ func TestCrossValidate(t *testing.T) {
 	if std := GainStd(perFold[0]); std < 0 {
 		t.Errorf("GainStd = %g", std)
 	}
-	if builds != 5 {
-		t.Errorf("builder ran %d times, want 5", builds)
+	if n := builds.Load(); n != 5 {
+		t.Errorf("builder ran %d times, want 5", n)
 	}
 	if metrics[0].N != 50 {
 		t.Errorf("pooled N = %d, want 50", metrics[0].N)

@@ -207,7 +207,6 @@ func TestRefreshStagesByteIdenticalCandidate(t *testing.T) {
 	r, err := NewRefresher(RefreshConfig{
 		Maintainer: maint,
 		Catalog:    ds.Catalog,
-		Spec:       grocerySpec(),
 		Source:     ds.Transactions,
 		Start:      window,
 		Slide:      slide,
@@ -236,8 +235,10 @@ func TestRefreshStagesByteIdenticalCandidate(t *testing.T) {
 		if !bytes.Equal(saveBytes(t, ds.Catalog, snap.Rec), wantBytes) {
 			t.Fatalf("refresh %d: promoted model diverges from a batch rebuild over the same window", i)
 		}
-		if snap.Hash != registry.HashBytes(wantBytes) {
-			t.Fatalf("refresh %d: hash %.8s does not identify the candidate bytes", i, snap.Hash)
+		// The identity is the sealed image's digest: the same model built
+		// in one batch carries it too.
+		if snap.Hash != full.Sealed().ContentHash() {
+			t.Fatalf("refresh %d: hash %.8s is not the batch build's image digest %.8s", i, snap.Hash, full.Sealed().ContentHash())
 		}
 	}
 	// Two slides of 150 past position 500 in a 700-transaction source:

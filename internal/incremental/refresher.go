@@ -1,14 +1,11 @@
 package incremental
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
 	"profitmining/internal/core"
-	"profitmining/internal/dataio"
 	"profitmining/internal/model"
-	"profitmining/internal/modelio"
 	"profitmining/internal/registry"
 )
 
@@ -19,10 +16,6 @@ type RefreshConfig struct {
 	// Catalog is the catalog the model was built over, submitted with
 	// every candidate.
 	Catalog *model.Catalog
-	// Spec, when non-nil, is embedded when serializing candidates to
-	// compute their content hash (matching what profitminer -save would
-	// write for the same model).
-	Spec *dataio.HierarchySpec
 	// Source is the transaction stream refreshes draw from; Start is the
 	// index of the first transaction the first refresh feeds. The stream
 	// wraps around when exhausted.
@@ -108,18 +101,11 @@ func (r *Refresher) SubmitCurrent(source string) (*registry.Snapshot, registry.O
 	return r.submit(r.maint.Recommender(), source)
 }
 
-// submit hands one candidate to the registry under its content hash.
-// Callers hold r.mu.
+// submit hands one candidate to the registry, which stamps it with its
+// sealed image's digest — the identity the same model carries when it
+// arrives through a model file or a cluster sync. Callers hold r.mu.
 func (r *Refresher) submit(rec *core.Recommender, source string) (*registry.Snapshot, registry.Outcome, error) {
-	// Serialize to compute the content hash: /version and the watcher's
-	// duplicate detection identify models by the bytes a save would
-	// produce, and an in-process candidate should be indistinguishable
-	// from the same model arriving through the model file.
-	var buf bytes.Buffer
-	if err := modelio.Save(&buf, r.cfg.Catalog, r.cfg.Spec, rec); err != nil {
-		return nil, registry.Rejected, fmt.Errorf("incremental: serialize refreshed model: %w", err)
-	}
-	return r.cfg.Registry.Submit(r.cfg.Catalog, rec, source, registry.HashBytes(buf.Bytes()))
+	return r.cfg.Registry.Submit(r.cfg.Catalog, rec, source, "")
 }
 
 // OnDrift adapts Refresh to the feedback collector's drift hook

@@ -41,7 +41,7 @@ import (
 // are bound together so a reader can never observe a mismatched pair.
 type Snapshot struct {
 	Version  int       // monotonically increasing, assigned at Submit
-	Hash     string    // content hash of the source bytes ("" if built in-process)
+	Hash     string    // the model's identity: its sealed image's embedded digest
 	Source   string    // file path or a description such as "trained from data.pmjl"
 	LoadedAt time.Time // when the snapshot entered the registry
 
@@ -197,8 +197,11 @@ func (o Outcome) String() string {
 // Submit runs the validation gate on a candidate and either promotes it
 // (no active model yet, or shadow scoring disabled) or stages it for
 // shadow scoring. A rejected candidate never disturbs the active
-// snapshot. The returned snapshot carries the assigned version.
-func (r *Registry) Submit(cat *model.Catalog, rec *core.Recommender, source, hash string) (*Snapshot, Outcome, error) {
+// snapshot. The returned snapshot carries the assigned version and the
+// candidate's one identity, its sealed image's embedded digest, however
+// the model arrived; the fourth argument is not consulted (callers that
+// predate the single identity still pass one).
+func (r *Registry) Submit(cat *model.Catalog, rec *core.Recommender, source, _ string) (*Snapshot, Outcome, error) {
 	if err := Validate(cat, rec, r.opts.Probes); err != nil {
 		return nil, Rejected, err
 	}
@@ -211,7 +214,7 @@ func (r *Registry) Submit(cat *model.Catalog, rec *core.Recommender, source, has
 	r.versions++
 	snap := &Snapshot{
 		Version:  r.versions,
-		Hash:     hash,
+		Hash:     rec.Sealed().ContentHash(),
 		Source:   source,
 		LoadedAt: time.Now(),
 		Cat:      cat,

@@ -64,7 +64,7 @@ func TestSubmitPromotesAndVersions(t *testing.T) {
 		t.Fatal("fresh registry has an active snapshot")
 	}
 
-	snap, outcome, err := reg.Submit(cat, rec, "test", "h1")
+	snap, outcome, err := reg.Submit(cat, rec, "test", "")
 	if err != nil || outcome != Promoted {
 		t.Fatalf("first submit: outcome %v, err %v", outcome, err)
 	}
@@ -73,14 +73,14 @@ func TestSubmitPromotesAndVersions(t *testing.T) {
 	}
 
 	cat2, rec2 := buildGrocery(t, 1000, 7)
-	snap2, outcome, err := reg.Submit(cat2, rec2, "test", "h2")
+	snap2, outcome, err := reg.Submit(cat2, rec2, "test", "")
 	if err != nil || outcome != Promoted {
 		t.Fatalf("second submit: outcome %v, err %v", outcome, err)
 	}
 	if snap2.Version != 2 || reg.Active() != snap2 {
 		t.Fatal("second promotion did not swap the active snapshot")
 	}
-	if reg.Active().Hash != "h2" || reg.Active().LoadedAt.IsZero() {
+	if reg.Active().Hash != rec2.Sealed().ContentHash() || reg.Active().LoadedAt.IsZero() {
 		t.Error("snapshot metadata not stamped")
 	}
 }
@@ -122,12 +122,12 @@ func TestRejectedSubmitKeepsActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Submit(cat, rec, "good", "h1"); err != nil {
+	if _, _, err := reg.Submit(cat, rec, "good", ""); err != nil {
 		t.Fatal(err)
 	}
 	active := reg.Active()
 
-	_, outcome, err := reg.Submit(cat, nil, "bad", "h2")
+	_, outcome, err := reg.Submit(cat, nil, "bad", "")
 	if err == nil || outcome != Rejected {
 		t.Fatalf("broken candidate: outcome %v, err %v", outcome, err)
 	}
@@ -146,15 +146,15 @@ func TestShadowLifecycle(t *testing.T) {
 
 	// First submit promotes even in shadow mode: there is nothing to
 	// compare against.
-	if _, outcome, err := reg.Submit(catA, recA, "A", "hA"); err != nil || outcome != Promoted {
+	if _, outcome, err := reg.Submit(catA, recA, "A", ""); err != nil || outcome != Promoted {
 		t.Fatalf("bootstrap submit: outcome %v, err %v", outcome, err)
 	}
 
-	snapB, outcome, err := reg.Submit(catB, recB, "B", "hB")
+	snapB, outcome, err := reg.Submit(catB, recB, "B", "")
 	if err != nil || outcome != Staged {
 		t.Fatalf("shadow submit: outcome %v, err %v", outcome, err)
 	}
-	if reg.Active().Hash != "hA" || reg.Staged() != snapB {
+	if reg.Active().Hash != recA.Sealed().ContentHash() || reg.Staged() != snapB {
 		t.Fatal("staging must leave the active snapshot serving")
 	}
 
@@ -165,7 +165,7 @@ func TestShadowLifecycle(t *testing.T) {
 		}
 		reg.RecordShadow(snapB, i == 0, float64(i), nil)
 	}
-	if reg.Active().Hash != "hA" {
+	if reg.Active().Hash != recA.Sealed().ContentHash() {
 		t.Fatal("candidate promoted before the sample floor")
 	}
 	stats, ok := reg.ShadowStats()
@@ -205,10 +205,10 @@ func TestPromoteStagedForces(t *testing.T) {
 	if _, err := reg.PromoteStaged(); err == nil {
 		t.Fatal("promoting with nothing staged must fail")
 	}
-	if _, _, err := reg.Submit(catA, recA, "A", "hA"); err != nil {
+	if _, _, err := reg.Submit(catA, recA, "A", ""); err != nil {
 		t.Fatal(err)
 	}
-	snapB, outcome, err := reg.Submit(catB, recB, "B", "hB")
+	snapB, outcome, err := reg.Submit(catB, recB, "B", "")
 	if err != nil || outcome != Staged {
 		t.Fatalf("outcome %v, err %v", outcome, err)
 	}

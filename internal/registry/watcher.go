@@ -20,7 +20,10 @@ import (
 // registry's validation gate. Change detection is two-level: a cheap
 // stat (mtime + size) decides whether to read the file at all, and a
 // content hash decides whether the bytes are actually new — an
-// overwrite with identical content, or a touch(1), never restages.
+// overwrite with identical content, or a touch(1), never restages. A
+// sealed file's hash is its header digest, which is also the model's
+// identity; a JSON file is keyed by the sha256 of its bytes until
+// decoded, and then compared by the digest of the image it seals into.
 //
 // The stat fast path is only trusted once the memoized mtime is
 // comfortably older than the read that memoized it (mtimeSlack). A file
@@ -124,20 +127,23 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 	// raced a writer is retried next poll.
 	w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
 
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	activeVer, unchanged := w.dedupHash(hash)
-	if unchanged {
+	// A JSON file's identity is the digest of the image it is sealed
+	// into, known only once decoded; the sha256 of its bytes keys the
+	// memo instead, so an unchanged file is decoded once, not per poll.
+	activeVer, seen := w.memoized(HashBytes(data))
+	if seen {
 		return nil, Unchanged, nil
 	}
-
 	cat, rec, err := modelio.Load(bytes.NewReader(data))
 	if err != nil {
 		w.lastRejected, w.lastHashActive = true, activeVer
-		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, hash, err)
+		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, w.lastHash, err)
 		return nil, Rejected, fmt.Errorf("load candidate: %w", err)
 	}
-	return w.submit(cat, rec, hash)
+	if w.serving(rec.Sealed().ContentHash(), activeVer) {
+		return nil, Unchanged, nil
+	}
+	return w.submit(cat, rec)
 }
 
 // checkSealed stages a sealed model file: dedup by the embedded header
@@ -148,8 +154,8 @@ func (w *Watcher) checkSealed(info os.FileInfo, hash string) (*Snapshot, Outcome
 	// way (mtimeSlack re-reads until the tick has safely passed).
 	w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
 
-	activeVer, unchanged := w.dedupHash(hash)
-	if unchanged {
+	activeVer, seen := w.memoized(hash)
+	if seen || w.serving(hash, activeVer) {
 		return nil, Unchanged, nil
 	}
 	cat, rec, err := modelio.OpenSealed(w.path, arena.Options{})
@@ -160,8 +166,7 @@ func (w *Watcher) checkSealed(info os.FileInfo, hash string) (*Snapshot, Outcome
 		// rejection on the true content bytes; if the writer has since
 		// finished, the next poll sees a hash the memo does not cover.
 		if data, rerr := os.ReadFile(w.path); rerr == nil {
-			sum := sha256.Sum256(data)
-			w.lastHash = hex.EncodeToString(sum[:])
+			w.lastHash = HashBytes(data)
 		} else {
 			w.lastHash = ""
 		}
@@ -169,7 +174,7 @@ func (w *Watcher) checkSealed(info os.FileInfo, hash string) (*Snapshot, Outcome
 		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, hash, err)
 		return nil, Rejected, fmt.Errorf("load sealed candidate: %w", err)
 	}
-	return w.submit(cat, rec, hash)
+	return w.submit(cat, rec)
 }
 
 // sealedHeaderHash reads the fixed header prefix and returns the
@@ -191,38 +196,40 @@ func (w *Watcher) sealedHeaderHash() (string, bool) {
 	return hash, true
 }
 
-// dedupHash runs the shared memo logic for a freshly determined content
-// hash: already-serving and already-staged bytes are Unchanged, as is a
-// standing memo (rejections only hold while the active version they
-// were made against still serves — gate rejections are state-dependent).
-// Otherwise the hash is memoized as in-progress and the caller loads.
-func (w *Watcher) dedupHash(hash string) (activeVer int, unchanged bool) {
+// memoized runs the memo for a freshly determined key: the last key
+// seen covers it, unless that key was rejected against an active
+// version that no longer serves (gate rejections are state-dependent).
+// Otherwise key is memoized as in progress and the caller loads.
+func (w *Watcher) memoized(key string) (activeVer int, seen bool) {
 	if a := w.reg.Active(); a != nil {
 		activeVer = a.Version
-		if hash == a.Hash {
-			// The file holds exactly the bytes being served (e.g. an
-			// in-process refresh promoted them); nothing to resubmit.
-			w.lastHash, w.lastRejected, w.lastHashActive = hash, false, activeVer
-			return activeVer, true
-		}
 	}
-	if st := w.reg.Staged(); st != nil && hash == st.Hash {
-		w.lastHash, w.lastRejected, w.lastHashActive = hash, false, activeVer
+	if key == w.lastHash && (!w.lastRejected || activeVer == w.lastHashActive) {
 		return activeVer, true
 	}
-	if hash == w.lastHash && (!w.lastRejected || activeVer == w.lastHashActive) {
-		return activeVer, true
-	}
-	w.lastHash = hash
+	w.lastHash = key
 	return activeVer, false
+}
+
+// serving reports whether the registry already serves or stages the
+// model identified by hash (e.g. an in-process refresh promoted it),
+// memoizing the current key as accepted if so: nothing to resubmit.
+func (w *Watcher) serving(hash string, activeVer int) bool {
+	a, st := w.reg.Active(), w.reg.Staged()
+	if (a != nil && a.Hash == hash) || (st != nil && st.Hash == hash) {
+		w.lastRejected, w.lastHashActive = false, activeVer
+		return true
+	}
+	return false
 }
 
 // submit feeds a loaded candidate through the registry and memoizes the
 // outcome against the post-Submit active version: when this very Submit
 // promoted the candidate, the memo must not read our own promotion as
 // an invalidation on the next poll.
-func (w *Watcher) submit(cat *model.Catalog, rec *core.Recommender, hash string) (*Snapshot, Outcome, error) {
-	snap, outcome, err := w.reg.Submit(cat, rec, w.path, hash)
+func (w *Watcher) submit(cat *model.Catalog, rec *core.Recommender) (*Snapshot, Outcome, error) {
+	hash := rec.Sealed().ContentHash()
+	snap, outcome, err := w.reg.Submit(cat, rec, w.path, "")
 	w.lastRejected = err != nil
 	if a := w.reg.Active(); a != nil {
 		w.lastHashActive = a.Version
@@ -240,8 +247,10 @@ func (w *Watcher) submit(cat *model.Catalog, rec *core.Recommender, hash string)
 // Path returns the watched model file.
 func (w *Watcher) Path() string { return w.path }
 
-// HashBytes is the content hash the watcher uses, exported so initial
-// loads outside the poll loop stamp snapshots identically.
+// HashBytes returns the hex sha256 of data: the watcher's memo key for
+// a JSON model file's bytes, and the content address of shipped
+// feedback segments. It is not a model identity; that is the sealed
+// image's embedded digest (Snapshot.Hash, modelio.ContentHash).
 func HashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

@@ -60,8 +60,8 @@ func TestWatcherStagesSealedModel(t *testing.T) {
 	if snap.Hash != hashA {
 		t.Fatalf("sealed snapshot hash %.8s, want header checksum %.8s", snap.Hash, hashA)
 	}
-	if snap.Rec.Sealed() == nil {
-		t.Fatal("watcher staged a sealed file as a heap model")
+	if snap.Rec.Tree() != nil {
+		t.Fatal("watcher staged a sealed file with build output")
 	}
 
 	// Unchanged file, then an identical rewrite: both cheap no-ops.

@@ -47,7 +47,9 @@ func TestWatcherPromotesAndRejects(t *testing.T) {
 	catB, recB := buildGrocery(t, 1000, 7)
 	bytesA := saveModel(t, catA, recA)
 	bytesB := saveModel(t, catB, recB)
-	hashA, hashB := HashBytes(bytesA), HashBytes(bytesB)
+	// A v2 file's model is identified by the digest of the image it is
+	// sealed into, the same identity the built model carries.
+	hashA, hashB := recA.Sealed().ContentHash(), recB.Sealed().ContentHash()
 	if hashA == hashB {
 		t.Fatal("test models must differ")
 	}
@@ -148,7 +150,7 @@ func TestWatcherRunPromotesWithinPollInterval(t *testing.T) {
 	}
 
 	writeFile(t, path, bytesB)
-	want := HashBytes(bytesB)
+	want := recB.Sealed().ContentHash()
 	for reg.Active().Hash != want {
 		if time.Now().After(deadline) {
 			t.Fatalf("swap never promoted; active %.8s", reg.Active().Hash)
@@ -219,7 +221,6 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	catC, recC := buildGrocery(t, 1200, 11)
 	bytesA := saveModel(t, catA, recA)
 	bytesB := saveModel(t, catB, recB)
-	bytesC := saveModel(t, catC, recC)
 
 	var strict atomic.Bool
 	reg, err := New(Options{
@@ -259,7 +260,7 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	// A different model promotes out of band (an in-process delta refresh
 	// would do this), and the gate relaxes.
 	strict.Store(false)
-	if _, outcome, err := reg.Submit(catC, recC, "direct", HashBytes(bytesC)); err != nil || outcome != Promoted {
+	if _, outcome, err := reg.Submit(catC, recC, "direct", ""); err != nil || outcome != Promoted {
 		t.Fatalf("direct promotion: outcome %v, err %v", outcome, err)
 	}
 	if reg.Active().Version != 2 {
@@ -274,7 +275,7 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	if err != nil || outcome != Promoted {
 		t.Fatalf("retry after promotion: outcome %v, err %v", outcome, err)
 	}
-	if snap.Hash != HashBytes(bytesB) || reg.Active().Version != 3 {
+	if snap.Hash != recB.Sealed().ContentHash() || reg.Active().Version != 3 {
 		t.Fatalf("retry promoted %.8s as version %d", snap.Hash, reg.Active().Version)
 	}
 }

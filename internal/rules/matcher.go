@@ -8,10 +8,10 @@ import (
 
 // Matcher is a prefix trie over rule bodies that answers subset queries:
 // given a sorted set of generalized sales, find every rule whose body is
-// contained in it. It serves two jobs:
+// contained in it. It serves two jobs at build time:
 //
-//   - recommendation matching — a rule matches a basket iff its body is a
-//     subset of the basket's expansion;
+//   - cover assignment — a rule matches a transaction iff its body is a
+//     subset of the transaction's expansion;
 //   - generality queries — rule p is more general than rule r iff
 //     body(p) ⊆ ExpandBody(body(r)), so "find all rules more general
 //     than r" is the same subset query over r's body expansion. This is
@@ -24,9 +24,10 @@ import (
 // A matcher built in one shot by NewMatcher over a non-empty rule list is
 // sealed: the pointer trie is flattened into contiguous arrays (one child
 // block per node, children adjacent in memory) and queries walk the flat
-// form, which is measurably faster on the serving hot path because a
-// subset walk touches sibling runs sequentially instead of chasing one
-// heap pointer per node. Insert after sealing falls back to the pointer
+// form, which is measurably faster because a subset walk touches sibling
+// runs sequentially instead of chasing one heap pointer per node. The
+// flat form is also the layout a model's sealed image persists and
+// serves from (TrieView). Insert after sealing falls back to the pointer
 // trie transparently. Sealed or not, a Matcher is safe for concurrent
 // reads once construction is done.
 type Matcher struct {
@@ -201,66 +202,10 @@ func (f *flatTrie) matchWalk(lo, hi int32, xs []hierarchy.GenID, fn func(*Rule))
 	}
 }
 
-// AppendMatches appends every rule whose body is a subset of xs
-// (including default rules) to dst and returns it. It is MatchAll
-// without the callback: the serving hot path collects matches into a
-// pooled buffer, and a closure-free walk keeps the per-request
-// allocation count at zero.
-//
-//hot:path
-func (m *Matcher) AppendMatches(dst []*Rule, xs []hierarchy.GenID) []*Rule {
-	dst = append(dst, m.defaults...)
-	if f := m.flat; f != nil {
-		return f.appendWalk(0, f.rootHi, xs, dst)
-	}
-	return appendWalk(m.root.children, xs, dst)
-}
-
-func appendWalk(nodes []*matchNode, xs []hierarchy.GenID, dst []*Rule) []*Rule {
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			dst = append(dst, node.rules...)
-			if len(node.children) > 0 {
-				dst = appendWalk(node.children, xs[xi+1:], dst)
-			}
-			ni++
-			xi++
-		}
-	}
-	return dst
-}
-
-func (f *flatTrie) appendWalk(lo, hi int32, xs []hierarchy.GenID, dst []*Rule) []*Rule {
-	ni, xi := lo, 0
-	for ni < hi && xi < len(xs) {
-		switch {
-		case f.item[ni] < xs[xi]:
-			ni++
-		case f.item[ni] > xs[xi]:
-			xi++
-		default:
-			dst = append(dst, f.rules[f.ruleLo[ni]:f.ruleHi[ni]]...)
-			if f.childLo[ni] < f.childHi[ni] {
-				dst = f.appendWalk(f.childLo[ni], f.childHi[ni], xs[xi+1:], dst)
-			}
-			ni++
-			xi++
-		}
-	}
-	return dst
-}
-
 // Best returns the highest-ranked rule whose body is a subset of xs, or
-// nil if none matches. The walk is closure-free: Best is the per-request
-// inner loop of Recommend, and a captured best-so-far variable would
-// escape to the heap on every call.
+// nil if none matches. The walk is closure-free: Best is the
+// per-transaction inner loop of cover assignment, and a captured
+// best-so-far variable would escape to the heap on every call.
 //
 //hot:path
 func (m *Matcher) Best(xs []hierarchy.GenID) *Rule {

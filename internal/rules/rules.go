@@ -7,7 +7,6 @@ package rules
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -127,34 +126,6 @@ func SortByRank(rs []*Rule) {
 	for i := range entries {
 		rs[i] = entries[i].r
 	}
-}
-
-// CompareRank is the MPF order of Definition 6 as a three-way
-// comparator: negative when a outranks b, positive when b outranks a,
-// zero only for a == b (Order is unique per rule, so the order is
-// total). It is defined in terms of Outranks so the two can never
-// drift apart.
-func CompareRank(a, b *Rule) int {
-	switch {
-	case Outranks(a, b):
-		return -1
-	case Outranks(b, a):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// SortRanked sorts rules in place from highest to lowest MPF rank
-// without allocating — the serving hot path sorts a handful of
-// per-item winners per request, where SortByRank's precomputed-key
-// scaffolding would be a per-call allocation. For the large rule sets
-// of model building, prefer SortByRank. The resulting order is
-// identical.
-//
-//hot:path
-func SortRanked(rs []*Rule) {
-	slices.SortFunc(rs, CompareRank)
 }
 
 // MoreGeneral reports whether a's body generalizes b's body (Section 4.1):

@@ -72,7 +72,6 @@ func TestDriftDeltaRefreshEndToEnd(t *testing.T) {
 	r, err := incremental.NewRefresher(incremental.RefreshConfig{
 		Maintainer: maint,
 		Catalog:    g.Dataset.Catalog,
-		Spec:       grocerySpec(),
 		Source:     g.Dataset.Transactions,
 		Start:      window,
 		Slide:      slide,

@@ -43,7 +43,7 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	catA, recA, _ := buildGroceryModel(t, 800, 3)
-	if _, _, err := reg.Submit(catA, recA, "A", "hashA"); err != nil {
+	if _, _, err := reg.Submit(catA, recA, "A", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	// promotion hook registers the new projections and, because the
 	// content changed, resets the detector.
 	catB, recB, _ := buildGroceryModel(t, 1000, 7)
-	snapB, outcome, err := reg.Submit(catB, recB, "B", "hashB")
+	snapB, outcome, err := reg.Submit(catB, recB, "B", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDriftTriggerInvariantUnderParallelism(t *testing.T) {
 
 		// One rule, identical across builds because its ID is a content
 		// hash of a deterministically built model.
-		ruleID := rec.RuleID(rec.Rules()[0])
+		ruleID := rec.Sealed().Rules().ID(0)
 		for j := 0; j < 10; j++ {
 			if _, err := fb.Record(feedback.Outcome{RuleID: ruleID, ModelVersion: 1, Bought: true}); err != nil {
 				t.Fatal(err)

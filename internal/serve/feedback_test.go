@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -8,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"profitmining/internal/arena"
 	"profitmining/internal/feedback"
+	"profitmining/internal/modelio"
 	"profitmining/internal/registry"
 )
 
@@ -24,7 +28,7 @@ func newFeedbackServer(t *testing.T, fb *feedback.Collector) (*registry.Registry
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Submit(cat, rec, "A", "hA"); err != nil {
+	if _, _, err := reg.Submit(cat, rec, "A", ""); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewRegistry(reg, nil, fb).Handler())
@@ -202,4 +206,49 @@ func TestOutcomeAccounting(t *testing.T) {
 // jsonNum renders a float the way the JSON encoder would.
 func jsonNum(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// TestRegisterSnapshotGuardsZeroBodyCount: an image with a consistent
+// checksum may still carry a rule whose body count is 0. It passes the
+// open, Verify and the gate, so its projection must not turn into NaN —
+// with a WAL, NaN cannot be journaled, the model would never register,
+// and every outcome for its rules would answer 422.
+func TestRegisterSnapshotGuardsZeroBodyCount(t *testing.T) {
+	catA, recA, _ := buildGroceryModel(t, 800, 3)
+	built, err := modelio.Seal(catA, recA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := append([]byte(nil), built...)
+	off := binary.LittleEndian.Uint64(image[64+16*arena.SecRuleBodyCount:])
+	binary.LittleEndian.PutUint32(image[off:], 0) // rule 0's body count
+	sum := sha256.Sum256(image[arena.HeaderPrefixLen:])
+	copy(image[16:arena.HeaderPrefixLen], sum[:])
+
+	cat, rec, err := modelio.LoadBytes(image)
+	if err != nil {
+		t.Fatalf("re-stamped image fails to load: %v", err)
+	}
+	if n := rec.Sealed().Rules().BodyCount[0]; n != 0 {
+		t.Fatalf("patched body count reads %d", n)
+	}
+	fb, _, err := feedback.Open(feedback.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fb.Close() })
+	reg, err := registry.New(registry.Options{
+		OnPromote: func(snap *registry.Snapshot) { RegisterSnapshot(fb, snap) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := reg.Submit(cat, rec, "patched", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := rec.Sealed().Rules().ID(0)
+	if _, err := fb.Record(feedback.Outcome{RuleID: id, ModelVersion: snap.Version, Bought: true}); err != nil {
+		t.Fatalf("outcome for the zero-count rule: %v (model not registered?)", err)
+	}
 }

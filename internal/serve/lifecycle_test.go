@@ -89,8 +89,8 @@ func writeModelFile(t *testing.T, path string, data []byte) {
 // the old version serving.
 func TestAdminReloadLifecycle(t *testing.T) {
 	_, _, bytesA := buildGroceryModel(t, 800, 3)
-	_, _, bytesB := buildGroceryModel(t, 1000, 7)
-	hashB := registry.HashBytes(bytesB)
+	_, recB, bytesB := buildGroceryModel(t, 1000, 7)
+	hashB := recB.Sealed().ContentHash() // the v2 file's model, identified by its image digest
 
 	path := filepath.Join(t.TempDir(), "model.pmm")
 	writeModelFile(t, path, bytesA)
@@ -163,10 +163,10 @@ func TestShadowPromotionOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Submit(catA, recA, "A", "hA"); err != nil {
+	if _, _, err := reg.Submit(catA, recA, "A", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, outcome, err := reg.Submit(catB, recB, "B", "hB"); err != nil || outcome != registry.Staged {
+	if _, outcome, err := reg.Submit(catB, recB, "B", ""); err != nil || outcome != registry.Staged {
 		t.Fatalf("outcome %v, err %v", outcome, err)
 	}
 	ts := httptest.NewServer(NewRegistry(reg, nil, nil).Handler())
@@ -178,7 +178,7 @@ func TestShadowPromotionOverHTTP(t *testing.T) {
 		t.Fatalf("active version = %v, want 1", body["version"])
 	}
 	staged := body["staged"].(map[string]any)
-	if staged["version"].(float64) != 2 || staged["hash"] != "hB" {
+	if staged["version"].(float64) != 2 || staged["hash"] != recB.Sealed().ContentHash() {
 		t.Fatalf("staged = %v", staged)
 	}
 

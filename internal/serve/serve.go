@@ -31,7 +31,6 @@ import (
 	"profitmining/internal/model"
 	"profitmining/internal/par"
 	"profitmining/internal/registry"
-	"profitmining/internal/rules"
 	"profitmining/internal/stats"
 )
 
@@ -79,10 +78,6 @@ type Server struct {
 	badRequests     atomic.Int64
 	draining        atomic.Bool              // set by StartDrain; health answers 503
 	requests        map[string]*atomic.Int64 // per-endpoint hit counters, fixed key set
-
-	// enc caches the active snapshot's pre-marshaled recommendation
-	// objects (see encCache). Rebuilt lazily after a hot swap.
-	enc atomic.Pointer[encCache]
 
 	latencyMu sync.Mutex
 	latency   *stats.Histogram            // request latency, milliseconds, all endpoints
@@ -348,11 +343,6 @@ type recommendRequest struct {
 	K      int        `json:"k,omitempty"`
 }
 
-// recommendationJSON is one scored recommendation. The shape lives in
-// core (model sealing pre-marshals it into the arena image); this alias
-// keeps the serving layer's wire documentation in one place.
-type recommendationJSON = core.WireRecommendation
-
 // recommendResponse documents the POST /recommend wire shape. The hot
 // path does not encode this struct: writeRecommendResponse streams the
 // identical bytes (pinned by TestStreamedEnvelopesMatchEncoder).
@@ -451,25 +441,13 @@ func (s *Server) rules(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cap at the real rule count before sizing anything: limit comes off
 	// the wire and must not drive an allocation.
-	var out []ruleJSON
-	if sm := snap.Rec.Sealed(); sm != nil {
-		rt := sm.Rules()
-		if n := sm.Meta().NumFinal; limit > n {
-			limit = n
-		}
-		out = make([]ruleJSON, 0, limit)
-		for i := 0; i < limit; i++ {
-			out = append(out, ruleJSON{ID: rt.ID(int32(i)), Rule: rt.String(int32(i))})
-		}
-	} else {
-		final := snap.Rec.Rules()
-		if limit > len(final) {
-			limit = len(final)
-		}
-		out = make([]ruleJSON, 0, limit)
-		for _, rule := range final[:limit] {
-			out = append(out, ruleJSON{ID: snap.Rec.RuleID(rule), Rule: rule.String(snap.Rec.Space())})
-		}
+	if n := snap.Rec.Stats().RulesFinal; limit > n {
+		limit = n
+	}
+	rt := snap.Rec.Sealed().Rules()
+	out := make([]ruleJSON, 0, limit)
+	for i := 0; i < limit; i++ {
+		out = append(out, ruleJSON{ID: rt.ID(int32(i)), Rule: rt.String(int32(i))})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"rules": out, "total": snap.Rec.Stats().RulesFinal})
 }
@@ -526,10 +504,10 @@ func (s *Server) recommend(w http.ResponseWriter, r *http.Request) {
 		k = 1
 	}
 	recs := snap.Rec.RecommendTopK(basket, k)
-	enc := s.encoded(snap)
+	rt := snap.Rec.Sealed().Rules()
 	var out []json.RawMessage
 	for _, rec := range recs {
-		out = append(out, enc.blob(snap, rec))
+		out = append(out, blob(rt, rec))
 	}
 	s.shadowScore(snap, req.Basket, recs)
 	writeRecommendResponse(w, out, snap.Version)
@@ -581,7 +559,7 @@ func (s *Server) recommendBatch(w http.ResponseWriter, r *http.Request) {
 		Results:      make([]batchResult, len(req.Baskets)),
 		ModelVersion: snap.Version,
 	}
-	enc := s.encoded(snap)
+	rt := snap.Rec.Sealed().Rules()
 	var scored atomic.Int64
 	par.For(par.Workers(0), len(req.Baskets), func(i int) {
 		one := &req.Baskets[i]
@@ -597,7 +575,7 @@ func (s *Server) recommendBatch(w http.ResponseWriter, r *http.Request) {
 		recs := snap.Rec.RecommendTopK(basket, k)
 		out := make([]json.RawMessage, 0, len(recs))
 		for _, rec := range recs {
-			out = append(out, enc.blob(snap, rec))
+			out = append(out, blob(rt, rec))
 		}
 		resp.Results[i].Recommendations = out
 		scored.Add(1)
@@ -680,53 +658,25 @@ func (s *Server) feedbackStats(w http.ResponseWriter, r *http.Request) {
 
 // RegisterSnapshot feeds a freshly promoted snapshot's rule projections
 // into the feedback collector — the glue callers hang on
-// registry.Options.OnPromote. It walks the final rules in MPF order and
-// then the per-item alternates, so the projection list (and therefore
-// the collector's model content key) is deterministic for a given
-// model.
+// registry.Options.OnPromote. The image's rule table lists the final
+// rules in MPF order and then the per-item alternates, each once, so
+// the projection list (and therefore the collector's model content key)
+// is deterministic for a given model.
 func RegisterSnapshot(fb *feedback.Collector, snap *registry.Snapshot) {
-	if sm := snap.Rec.Sealed(); sm != nil {
-		// The sealed rule table is already final-then-alternates with
-		// duplicates removed — the identical order the heap walk below
-		// produces. IDs are cloned out of the mapping: the collector
-		// outlives the snapshot, and a zero-copy string would dangle once
-		// the arena is unmapped on drain.
-		rt := sm.Rules()
-		projs := make([]feedback.RuleProjection, 0, rt.N())
-		for i := int32(0); int(i) < rt.N(); i++ {
-			promo := snap.Cat.Promo(model.PromoID(rt.HeadPromo[i]))
-			projs = append(projs, feedback.RuleProjection{
-				ID:     strings.Clone(rt.ID(i)),
-				ProfRe: rt.ProfRe[i],
-				Conf:   float64(rt.Hits[i]) / float64(rt.BodyCount[i]),
-				Price:  promo.Price,
-				Cost:   promo.Cost,
-			})
-		}
-		if err := fb.RegisterModel(snap.Version, snap.Hash, projs); err != nil {
-			log.Printf("serve: registering model v%d with feedback collector: %v", snap.Version, err)
-		}
-		return
-	}
-	space := snap.Rec.Space()
-	final, alt := snap.Rec.Rules(), snap.Rec.Alternates()
-	seen := make(map[*rules.Rule]bool, len(final)+len(alt))
-	projs := make([]feedback.RuleProjection, 0, len(final)+len(alt))
-	for _, rs := range [][]*rules.Rule{final, alt} {
-		for _, rule := range rs {
-			if seen[rule] {
-				continue
-			}
-			seen[rule] = true
-			promo := snap.Cat.Promo(space.PromoOf(rule.Head))
-			projs = append(projs, feedback.RuleProjection{
-				ID:     snap.Rec.RuleID(rule),
-				ProfRe: rule.ProfRe(),
-				Conf:   rule.Conf(),
-				Price:  promo.Price,
-				Cost:   promo.Cost,
-			})
-		}
+	rt := snap.Rec.Sealed().Rules()
+	projs := make([]feedback.RuleProjection, 0, rt.N())
+	for i := int32(0); int(i) < rt.N(); i++ {
+		promo := snap.Cat.Promo(model.PromoID(rt.HeadPromo[i]))
+		projs = append(projs, feedback.RuleProjection{
+			// Cloned out of the image: the collector outlives the
+			// snapshot, and a zero-copy string would dangle once a mapped
+			// image is unmapped on drain.
+			ID:     strings.Clone(rt.ID(i)),
+			ProfRe: rt.ProfRe[i],
+			Conf:   rt.Conf(i),
+			Price:  promo.Price,
+			Cost:   promo.Cost,
+		})
 	}
 	if err := fb.RegisterModel(snap.Version, snap.Hash, projs); err != nil {
 		log.Printf("serve: registering model v%d with feedback collector: %v", snap.Version, err)
@@ -769,78 +719,15 @@ func promoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int 
 	return core.PromoIndex(cat, item, promo)
 }
 
-// encodeRecommendation renders one recommendation against the snapshot
-// that produced it.
-// encCache maps every rule of one snapshot to its fully marshaled
-// recommendationJSON. All fields of that object — item, promo economics,
-// measures, the rendered rule and its covering-tree explanation — are
-// functions of the fired rule alone, so the per-request response encode
-// reduces to splicing cached json.RawMessage blobs into the envelope.
-// On the profiled /recommend path this removes the fmt rendering and
-// float formatting that dominated request time.
-type encCache struct {
-	snap  *registry.Snapshot
-	blobs map[*rules.Rule]json.RawMessage
-
-	// sealed short-circuits the cache for arena-backed snapshots: the
-	// blobs were marshaled at seal time and live in the mapped file, so
-	// there is nothing to build and nothing on the heap.
-	sealed *arena.RuleTable
-}
-
-// encoded returns the snapshot's blob cache, building it on first use
-// after a promotion (one O(rules) marshal pass; concurrent rebuilds are
-// idempotent and the maps are immutable once published). Sealed
-// snapshots skip the pass entirely: their blob pool is the file.
-func (s *Server) encoded(snap *registry.Snapshot) *encCache {
-	if c := s.enc.Load(); c != nil && c.snap == snap {
-		return c
-	}
-	if sm := snap.Rec.Sealed(); sm != nil {
-		c := &encCache{snap: snap, sealed: sm.Rules()}
-		s.enc.Store(c)
-		return c
-	}
-	space := snap.Rec.Space()
-	final, alt := snap.Rec.Rules(), snap.Rec.Alternates()
-	c := &encCache{snap: snap, blobs: make(map[*rules.Rule]json.RawMessage, len(final)+len(alt))}
-	for _, rs := range [][]*rules.Rule{final, alt} {
-		for _, rule := range rs {
-			if _, ok := c.blobs[rule]; ok {
-				continue
-			}
-			rec := core.Recommendation{Item: space.ItemOf(rule.Head), Promo: space.PromoOf(rule.Head), Rule: rule}
-			c.blobs[rule] = marshalRecommendation(snap, rec)
-		}
-	}
-	s.enc.Store(c)
-	return c
-}
-
-// blob returns the marshaled recommendation: straight out of the
-// mapped blob pool for sealed snapshots, from the cache (or marshaled
-// on the fly, for rules outside the cached sets) otherwise.
+// blob returns the recommendation's JSON object: the blob pre-marshaled
+// into the image at seal time, written verbatim.
 //
 //hot:path
-func (c *encCache) blob(snap *registry.Snapshot, rec core.Recommendation) json.RawMessage {
-	if c.sealed != nil {
-		if rec.Idx >= 0 {
-			return json.RawMessage(c.sealed.Blob(rec.Idx))
-		}
+func blob(rt *arena.RuleTable, rec core.Recommendation) json.RawMessage {
+	if rec.Idx < 0 {
 		return json.RawMessage(`{"error":"unencodable recommendation"}`)
 	}
-	if b, ok := c.blobs[rec.Rule]; ok {
-		return b
-	}
-	return marshalRecommendation(snap, rec)
-}
-
-func marshalRecommendation(snap *registry.Snapshot, rec core.Recommendation) json.RawMessage {
-	return core.MarshalWire(snap.Cat, snap.Rec, rec)
-}
-
-func encodeRecommendation(snap *registry.Snapshot, rec core.Recommendation) recommendationJSON {
-	return core.EncodeWire(snap.Cat, snap.Rec, rec)
+	return rt.Blob(rec.Idx)
 }
 
 func decodeBasket(cat *model.Catalog, sales []saleJSON) (model.Basket, error) {
@@ -921,7 +808,7 @@ func writeBuf(w http.ResponseWriter, code int, buf *bytes.Buffer) {
 	}
 }
 
-// appendRecList writes a recommendation list by splicing the cached
+// appendRecList writes a recommendation list by splicing the sealed
 // blobs verbatim. Pushing json.RawMessage through json.Encoder instead
 // would re-compact (re-scan) every blob per request — on the profiled
 // hot path that re-validation was the single largest cost after the
@@ -943,7 +830,7 @@ func appendRecList(buf *bytes.Buffer, recs []json.RawMessage) {
 }
 
 // writeRecommendResponse streams the /recommend envelope into a pooled
-// buffer: cached blobs spliced verbatim, only the envelope written per
+// buffer: sealed blobs spliced verbatim, only the envelope written per
 // request. Byte-identical to encoding recommendResponse.
 func writeRecommendResponse(w http.ResponseWriter, recs []json.RawMessage, version int) {
 	buf := bufPool.Get().(*bytes.Buffer)

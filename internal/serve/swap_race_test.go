@@ -88,7 +88,7 @@ func TestConcurrentSwapNoTornPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Submit(catA, recA, "A", "hA"); err != nil {
+	if _, _, err := reg.Submit(catA, recA, "A", ""); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(NewRegistry(reg, nil, nil).Handler())
@@ -112,9 +112,9 @@ func TestConcurrentSwapNoTornPairs(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			var err error
 			if i%2 == 0 {
-				_, _, err = reg.Submit(catB, recB, "B", "hB")
+				_, _, err = reg.Submit(catB, recB, "B", "")
 			} else {
-				_, _, err = reg.Submit(catA, recA, "A", "hA")
+				_, _, err = reg.Submit(catA, recA, "A", "")
 			}
 			if err != nil {
 				promoErr = err

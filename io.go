@@ -60,15 +60,14 @@ func LoadModel(path string) (*Catalog, *Recommender, error) {
 
 // VerifyModel checks a saved model's format version and payload
 // checksum without restoring it — cheap corruption detection before
-// deploying a file to a serving fleet. Models saved by current versions
-// embed a checksum; files from before the checksum era verify
-// structurally only.
+// deploying a file to a serving fleet. A file without a checksum
+// (including the pre-checksum v1 format) fails.
 func VerifyModel(path string) error {
 	return modelio.VerifyFile(path)
 }
 
-// SealModel writes the recommender as a sealed serving image (modelio
-// format v3): one mmap-able arena file that LoadModel and the serving
+// SealModel writes the recommender's sealed serving image (modelio
+// format v3) to path: one mmap-able arena file that LoadModel and the serving
 // registry open in O(1) of the model size, with every response blob
 // pre-marshaled. Unlike SaveModel's structural JSON, a sealed file is a
 // deployment artifact — byte-layout, not interchange — and cannot be

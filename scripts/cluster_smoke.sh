@@ -15,7 +15,9 @@
 # leg stands up a second fleet around the sealed zero-copy image of the
 # same model: the coordinator must distribute it verbatim and every
 # replica must stage it without re-encoding, converging on the content
-# hash embedded in the image's own header.
+# hash embedded in the image's own header — the same hash the first
+# fleet converged on, because a model has one identity whichever file
+# format carried it.
 set -euo pipefail
 
 COORD_ADDR="127.0.0.1:${SMOKE_CLUSTER_PORT:-18090}"
@@ -198,5 +200,11 @@ curl -sf -X POST -H 'Content-Type: application/json' \
     -d '{"basket":[{"item":"item-0001","promoIx":0}],"k":1}' "$S_COORD/recommend" \
     | json_field ruleID | grep -q . || fail "sealed fleet served no recommendation"
 echo "   sealed fleet converged on embedded header checksum $sealed_hash"
+
+# One model, one identity: the fleet that started from model.pmm (v2
+# JSON) serves the same hash as the fleet that started from model.pma.
+[ "$coord_hash" = "$sealed_hash" ] \
+    || fail "the v2 fleet converged on $coord_hash, the sealed fleet on $sealed_hash: one model, two identities"
+echo "   both fleets share the identity $sealed_hash"
 
 echo "cluster-smoke: OK (fleet converged on $coord_hash, kill-one lost nothing, stats replay deterministic, sealed fleet converged on $sealed_hash)"

@@ -19,13 +19,12 @@ import (
 )
 
 // TestSealedServingEquivalence is the sealed format's acceptance bar: a
-// model saved as v2 JSON and reloaded, and the same model sealed and
-// mmap-opened, must produce byte-identical /recommend and
-// /recommend/batch responses over a large randomized basket stream —
-// 2000 baskets per seed, three seeds. The sealed path serves
-// pre-marshaled blobs straight from the mapping while the v2 path
-// marshals per request, so this pins that sealing changed the cost of
-// an answer, never the answer.
+// model saved as v2 JSON and reloaded (which seals it into a fresh
+// image in memory), and the same model's sealed file mmap-opened, must
+// produce byte-identical /recommend and /recommend/batch responses over
+// a large randomized basket stream — 2000 baskets per seed, three
+// seeds. This pins that the file format a model arrives in changes the
+// cost of loading it, never an answer.
 func TestSealedServingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed transcript matrix")
@@ -106,8 +105,8 @@ func compareSealedVsV2(t *testing.T, cat *profitmining.Catalog, spec *profitmini
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sRec.Sealed() == nil {
-		t.Fatal("OpenSealed returned a heap-backed recommender")
+	if sRec.Tree() != nil {
+		t.Fatal("OpenSealed returned a recommender with build output")
 	}
 	defer sRec.Sealed().Arena().Close()
 	t.Logf("sealed model mmap-backed: %v", sRec.Sealed().Arena().Mapped())
