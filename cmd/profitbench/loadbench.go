@@ -37,13 +37,9 @@ type loadSizeStats struct {
 	Items            int     `json:"items"`
 	MinSupport       float64 `json:"minSupport"`
 	Rules            int     `json:"rules"`
-	V2Bytes          int64   `json:"v2Bytes"`
 	SealedBytes      int64   `json:"sealedBytes"`
-	V2DecodeMs       float64 `json:"v2DecodeMs"`
-	V2DecodeAllocs   float64 `json:"v2DecodeAllocs"`
 	SealedOpenMs     float64 `json:"sealedOpenMs"`
 	SealedOpenAllocs float64 `json:"sealedOpenAllocs"`
-	Speedup          float64 `json:"speedup"`
 }
 
 // loadReport is the schema of the -loadbench JSON artifact consumed by
@@ -52,20 +48,17 @@ type loadReport struct {
 	Iters           int             `json:"iters"`
 	Sizes           []loadSizeStats `json:"sizes"`
 	SizeSpread      float64         `json:"sizeSpread"`
-	V2DecodeRatio   float64         `json:"v2DecodeRatio"`
 	SealedOpenRatio float64         `json:"sealedOpenRatio"`
 	MaxOpenRatio    float64         `json:"maxOpenRatio"`
 	Pass            bool            `json:"pass"`
 }
 
-// runLoadBench measures cold model load at three sizes: the v2 JSON
-// decode path against the sealed zero-copy open. The sealed timing is
-// arena.OpenFile + core.FromSealed without Verify — Verify is the
-// O(file) trust gate run once per staged content hash, while open is
-// the per-process (and per-hot-swap) cost whose O(1) claim this
+// runLoadBench measures the cold sealed open at three model sizes. The
+// timing is arena.OpenFile + core.FromSealed without Verify — Verify is
+// the O(file) trust gate run once per staged content hash, while open
+// is the per-process (and per-hot-swap) cost whose O(1) claim this
 // benchmark enforces: sealed open time may grow at most maxRatio from
-// the smallest to the largest model while the file size spreads ~16×
-// and the v2 decode grows with the model.
+// the smallest to the largest model while the file size spreads ~16×.
 func runLoadBench(seed int64, iters int, maxRatio float64, out string) {
 	if iters < 1 {
 		iters = 1
@@ -82,9 +75,8 @@ func runLoadBench(seed int64, iters int, maxRatio float64, out string) {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("loadbench: %-6s %5d rules, v2 %7.1f KiB decode %8.2fms (%.0f allocs), sealed %7.1f KiB open %8.3fms (%.0f allocs), %6.1fx\n",
-			st.Label, st.Rules, float64(st.V2Bytes)/1024, st.V2DecodeMs, st.V2DecodeAllocs,
-			float64(st.SealedBytes)/1024, st.SealedOpenMs, st.SealedOpenAllocs, st.Speedup)
+		fmt.Printf("loadbench: %-6s %5d rules, sealed %7.1f KiB open %8.3fms (%.0f allocs)\n",
+			st.Label, st.Rules, float64(st.SealedBytes)/1024, st.SealedOpenMs, st.SealedOpenAllocs)
 		sizes = append(sizes, st)
 	}
 
@@ -93,7 +85,6 @@ func runLoadBench(seed int64, iters int, maxRatio float64, out string) {
 		Iters:           iters,
 		Sizes:           sizes,
 		SizeSpread:      safeRatio(float64(last.SealedBytes), float64(first.SealedBytes)),
-		V2DecodeRatio:   safeRatio(last.V2DecodeMs, first.V2DecodeMs),
 		SealedOpenRatio: safeRatio(last.SealedOpenMs, first.SealedOpenMs),
 		MaxOpenRatio:    maxRatio,
 	}
@@ -107,8 +98,8 @@ func runLoadBench(seed int64, iters int, maxRatio float64, out string) {
 		fail(err)
 	}
 
-	fmt.Printf("loadbench: sealed file size spread %.1fx; v2 decode grew %.1fx, sealed open %.2fx (gate ≤%.1fx); report: %s\n",
-		rep.SizeSpread, rep.V2DecodeRatio, rep.SealedOpenRatio, maxRatio, out)
+	fmt.Printf("loadbench: sealed file size spread %.1fx; sealed open grew %.2fx (gate ≤%.1fx); report: %s\n",
+		rep.SizeSpread, rep.SealedOpenRatio, maxRatio, out)
 	if !rep.Pass {
 		fail(fmt.Errorf("sealed open grew %.2fx from %s to %s (gate %.1fx): open is not O(1) in model size",
 			rep.SealedOpenRatio, first.Label, last.Label, maxRatio))
@@ -116,8 +107,8 @@ func runLoadBench(seed int64, iters int, maxRatio float64, out string) {
 	fmt.Println("loadbench: sealed open is flat across the size spread")
 }
 
-// benchOneScale builds one model, writes it in both formats and times
-// both cold-load paths.
+// benchOneScale builds one model, seals it to a file and times its
+// cold open.
 func benchOneScale(sc loadScale, seed int64, iters int, dir string) (loadSizeStats, error) {
 	st := loadSizeStats{Label: sc.Label, Txns: sc.Txns, Items: sc.Items, MinSupport: sc.MinSup}
 	ds := genDataset("I", sc.Txns, sc.Items, seed)
@@ -127,31 +118,14 @@ func benchOneScale(sc loadScale, seed int64, iters int, dir string) (loadSizeSta
 	}
 	st.Rules = rec.Stats().RulesFinal
 
-	v2Path := filepath.Join(dir, sc.Label+".pmm")
 	sealedPath := filepath.Join(dir, sc.Label+".pma")
-	if err := profitmining.SaveModel(v2Path, ds.Catalog, nil, rec); err != nil {
-		return st, err
-	}
 	if err := profitmining.SealModel(sealedPath, ds.Catalog, rec); err != nil {
-		return st, err
-	}
-	if st.V2Bytes, err = fileSize(v2Path); err != nil {
 		return st, err
 	}
 	if st.SealedBytes, err = fileSize(sealedPath); err != nil {
 		return st, err
 	}
 
-	st.V2DecodeMs, st.V2DecodeAllocs, err = timeLoads(iters, func() error {
-		_, v2rec, err := profitmining.LoadModel(v2Path)
-		if err == nil && v2rec.Stats().RulesFinal != st.Rules {
-			return fmt.Errorf("v2 reload of %s changed the rule count", sc.Label)
-		}
-		return err
-	})
-	if err != nil {
-		return st, err
-	}
 	st.SealedOpenMs, st.SealedOpenAllocs, err = timeLoads(iters, func() error {
 		m, err := arena.OpenFile(sealedPath, arena.Options{})
 		if err != nil {
@@ -168,11 +142,7 @@ func benchOneScale(sc loadScale, seed int64, iters int, dir string) (loadSizeSta
 		}
 		return m.Arena().Close()
 	})
-	if err != nil {
-		return st, err
-	}
-	st.Speedup = safeRatio(st.V2DecodeMs, st.SealedOpenMs)
-	return st, nil
+	return st, err
 }
 
 // timeLoads runs f iters times and returns mean wall milliseconds and

@@ -65,8 +65,8 @@ func main() {
 		feedSeg     = flag.Int64("feedseg", 4<<20, "segment size in bytes for -feedbench (small enough to exercise rotation)")
 		feedOut     = flag.String("feedout", "BENCH_feedback.json", "where -feedbench writes its JSON report")
 
-		loadBench = flag.Bool("loadbench", false, "instead of the figure sweep, benchmark cold model load (v2 decode vs sealed zero-copy open) across three model sizes, enforce the O(1)-open gate and write a JSON report")
-		loadIters = flag.Int("loaditers", 5, "load repetitions timed per format and size by -loadbench")
+		loadBench = flag.Bool("loadbench", false, "instead of the figure sweep, benchmark the cold sealed zero-copy open across three model sizes, enforce the O(1)-open gate and write a JSON report")
+		loadIters = flag.Int("loaditers", 5, "load repetitions timed per size by -loadbench")
 		loadRatio = flag.Float64("loadratio", 2, "maximum sealed-open slowdown from smallest to largest model -loadbench enforces")
 		loadOut   = flag.String("loadout", "BENCH_load.json", "where -loadbench writes its JSON report")
 

@@ -36,8 +36,8 @@ func main() {
 		buying  = flag.Bool("buying", false, "buying MOA (spending-preserving) instead of saving MOA")
 		show    = flag.Int("show", 20, "number of top rules to print")
 		demo    = flag.Int("demo", 0, "recommend-and-explain for the first N transactions")
-		save    = flag.String("save", "", "write the built model to this file (servable by profitserve)")
-		seal    = flag.String("seal", "", "write the built model as a sealed zero-copy image to this file (mmap-served by profitserve)")
+		save    = flag.String("save", "", "write the built model's v2 JSON export to this file, for inspection (not loadable; serve -seal output)")
+		seal    = flag.String("seal", "", "write the built model's sealed zero-copy image to this file (what profitserve -model serves)")
 		report  = flag.Bool("report", false, "print the model summary report")
 		par     = flag.Int("parallel", 0, "build worker count (0 = one per CPU, 1 = serial; identical output either way)")
 		window  = flag.Int("window", 0, "maintain the model over a sliding window of this many transactions (0 = batch build over the whole dataset)")

@@ -1,17 +1,17 @@
 // Command profitserve serves a profit-mining recommender over HTTP.
 //
-// Serve a previously saved model:
+// Serve a sealed model (profitminer -seal):
 //
-//	profitserve -model grocery.pmm -addr :8080
+//	profitserve -model grocery.pma -addr :8080
 //
 // Follow retrains by watching the model file for changes (poll-based;
 // new versions are validated and hot-swapped without dropping traffic):
 //
-//	profitserve -model grocery.pmm -watch -poll 2s
+//	profitserve -model grocery.pma -watch -poll 2s
 //
 // Shadow-score candidates on 10% of live traffic before promoting:
 //
-//	profitserve -model grocery.pmm -watch -shadow 0.1
+//	profitserve -model grocery.pma -watch -shadow 0.1
 //
 // Or train on a dataset file and serve in one step:
 //
@@ -22,7 +22,7 @@
 // realized profit drifts away from the model's projections (typically a
 // retrain that -watch then hot-swaps in):
 //
-//	profitserve -model grocery.pmm -watch \
+//	profitserve -model grocery.pma -watch \
 //	    -feedback-dir /var/lib/profitserve/feedback \
 //	    -on-drift 'make retrain'
 //
@@ -95,7 +95,7 @@ import (
 
 func main() {
 	var (
-		modelPath = flag.String("model", "", "saved model file (from profitminer -save)")
+		modelPath = flag.String("model", "", "sealed model file (from profitminer -seal)")
 		dataPath  = flag.String("data", "", "dataset file to train on (alternative to -model)")
 		minsup    = flag.Float64("minsup", 0.001, "minimum support when training from -data")
 		window    = flag.Int("window", 0, "with -data: maintain the model over a sliding window of this many transactions and answer drift alarms with an in-process delta refresh (0 = batch build, drift only runs -on-drift)")
@@ -446,8 +446,7 @@ func runCoordinator(f coordinatorFlags) {
 		fail(fmt.Errorf("-window requires -data (the window slides over the dataset's transactions)"))
 	case f.modelPath != "":
 		// Load (and so verify) before distributing: a broken file should
-		// fail startup, not poison the whole fleet. Either format loads;
-		// the fleet always receives the model's sealed image.
+		// fail startup, not poison the whole fleet.
 		_, rec, err := profitmining.LoadModel(f.modelPath)
 		if err != nil {
 			fail(fmt.Errorf("loading %s: %w", f.modelPath, err))

@@ -72,8 +72,8 @@ func main() {
 		fmt.Printf("basket %-16v → %s at $%.2f\n", tokens, ds.Catalog.Item(r.Item).Name, promo.Price)
 	}
 
-	if err := profitmining.SaveModel("/tmp/baskets-model.pmm", ds.Catalog, nil, rec); err != nil {
+	if err := profitmining.SealModel("/tmp/baskets-model.pma", ds.Catalog, rec); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nmodel saved to /tmp/baskets-model.pmm (serve it: profitserve -model /tmp/baskets-model.pmm)")
+	fmt.Println("\nmodel sealed to /tmp/baskets-model.pma (serve it: profitserve -model /tmp/baskets-model.pma)")
 }

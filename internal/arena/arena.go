@@ -295,7 +295,7 @@ func parse(a *Arena) (*Model, error) {
 
 	// O(1) pool bounds: first and last offsets must bracket the pool
 	// exactly, so a truncated tail cannot produce an out-of-range slice
-	// on the very first lookup.
+	// on the very first lookup. Verify checks the interior offsets.
 	if rcount > 0 {
 		if err := checkPoolBounds(m.rt.BodyOff, 4, secs[SecRuleBodyPool].len, "rule body"); err != nil {
 			return nil, err
@@ -419,6 +419,15 @@ func (m *Model) Verify() error {
 	// implies them; they exist so a hand-crafted file with a consistent
 	// checksum still cannot push invalid offsets past the trust gate.
 	if err := m.exp.validate(len(m.sec(SecExpPool))); err != nil {
+		return err
+	}
+	if err := m.rt.validate(m.meta); err != nil {
+		return err
+	}
+	if err := m.trie.validate(m.meta.NumRules, "matcher trie"); err != nil {
+		return err
+	}
+	if err := m.alt.validate(m.meta.NumRules, "alternates trie"); err != nil {
 		return err
 	}
 	return validateCatalog(m.meta, m.sec)

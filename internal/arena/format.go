@@ -37,9 +37,11 @@
 //   - Open performs only O(#sections) structural validation — never
 //     O(rules) or O(items). A truncated file or a damaged header fails
 //     Open; payload bit-flips and the linear structural scans
-//     (expansion offsets, catalog bounds) are Verify's job, which
-//     stagers (registry watcher, cluster sync) run once per
-//     new content hash. Catalog materialization is deferred to the
+//     (expansion offsets, rule-table offsets and heads, trie child
+//     blocks, rule ranges and rule indices, catalog bounds) are
+//     Verify's job, which modelio.LoadFile and LoadBytes run before a
+//     model serves (the watcher and cluster sync once per new content
+//     hash). Catalog materialization is deferred to the
 //     first Catalog call and memoized.
 //   - Views index into one global rule table; *rules.Rule pointers
 //     never exist for a model opened from a file, which is what makes

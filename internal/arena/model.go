@@ -198,6 +198,64 @@ type Trie struct {
 	RootHi                           int32
 }
 
+// validate checks the rule table's interior — O(rules): every offset
+// column is nondecreasing (parse checked that each starts at 0 and ends
+// at its pool's length, so every rule's slice lies inside its pool),
+// and every head names an item and a promo of the sealed catalog.
+func (t *RuleTable) validate(meta Meta) error {
+	for _, c := range []struct {
+		what string
+		at   int
+	}{
+		{"rule body", firstDecrease(t.BodyOff)},
+		{"rule string", firstDecrease(t.strOff)},
+		{"rule explain", firstDecrease(t.explOff)},
+		{"rule blob", firstDecrease(t.blobOff)},
+	} {
+		if c.at >= 0 {
+			return errf("%s offsets decrease at entry %d", c.what, c.at)
+		}
+	}
+	for i := range t.Head {
+		if item, promo := t.HeadItem[i], t.HeadPromo[i]; item < 1 || int(item) > meta.NumItems || promo < 1 || int(promo) > meta.NumPromos {
+			return errf("rule %d head (item %d, promo %d) is outside the %d-item, %d-promo catalog", i, item, promo, meta.NumItems, meta.NumPromos)
+		}
+	}
+	return nil
+}
+
+// firstDecrease returns the first i with off[i] < off[i-1], or -1.
+func firstDecrease[T int32 | int64](off []T) int {
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return i
+		}
+	}
+	return -1
+}
+
+// validate bounds-checks the trie — O(nodes + rule entries): each
+// node's child block lies inside the node columns, its rule range inside
+// Rules, and every Rules entry indexes the rcount-rule table, so a walk
+// cannot index outside a column at serve time.
+func (t *Trie) validate(rcount int, what string) error {
+	nodes := int32(len(t.Item))
+	for i := range t.Item {
+		if lo, hi := t.ChildLo[i], t.ChildHi[i]; lo < 0 || lo > hi || hi > nodes {
+			return errf("%s node %d children [%d,%d) escape its %d nodes", what, i, lo, hi, nodes)
+		}
+		if lo, hi := t.RuleLo[i], t.RuleHi[i]; lo < 0 || lo > hi || int(hi) > len(t.Rules) {
+			return errf("%s node %d rules [%d,%d) escape its %d-entry rule list", what, i, lo, hi, len(t.Rules))
+		}
+	}
+	for i, r := range t.Rules {
+		if r < 0 || int(r) >= rcount {
+			return errf("%s rule entry %d: index %d outside the %d-rule table", what, i, r, rcount)
+		}
+	}
+	return nil
+}
+
 // validateCatalog bounds-checks the catalog sections at open —
 // O(items+promos) with no allocations — so a structurally corrupt file
 // fails Open loudly instead of handing out views that blow up on first

@@ -21,10 +21,11 @@ import (
 )
 
 // TestOneModelOneIdentity builds one model and brings it into a registry
-// four ways — submitted in process, as a sealed file and as a v2 file
-// through registry.Watcher, and synced from a Coordinator to a Replica —
-// and requires every snapshot to carry the same hash: the digest in the
-// sealed image's header.
+// three ways — submitted in process, as a sealed file through
+// registry.Watcher, and synced from a Coordinator to a Replica — and
+// requires every snapshot to carry the same hash: the digest in the
+// sealed image's header. Its v2 JSON export is not a fourth way in: the
+// watcher rejects it and keeps the active snapshot.
 func TestOneModelOneIdentity(t *testing.T) {
 	spec := &dataio.HierarchySpec{
 		Concepts: []dataio.ConceptSpec{
@@ -83,30 +84,32 @@ func TestOneModelOneIdentity(t *testing.T) {
 	}
 	hashes["in process"] = snap.Hash
 
-	for _, file := range []struct {
-		route string
-		data  []byte
-	}{
-		{"sealed file", image},
-		{"v2 file", v2.Bytes()},
-	} {
-		path := filepath.Join(t.TempDir(), "model")
-		if err := os.WriteFile(path, file.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reg, err := registry.New(registry.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := registry.NewWatcher(reg, path, time.Second, t.Logf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, outcome, err := w.Check()
-		if err != nil || outcome != registry.Promoted {
-			t.Fatalf("%s: outcome %v, err %v", file.route, outcome, err)
-		}
-		hashes[file.route] = snap.Hash
+	path := filepath.Join(t.TempDir(), "model")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wreg, err := registry.New(registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := registry.NewWatcher(wreg, path, time.Second, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, outcome, err := w.Check()
+	if err != nil || outcome != registry.Promoted {
+		t.Fatalf("sealed file: outcome %v, err %v", outcome, err)
+	}
+	hashes["sealed file"] = snap.Hash
+
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome, err := w.Check(); err == nil || outcome != registry.Rejected {
+		t.Fatalf("v2 export: outcome %v, err %v", outcome, err)
+	}
+	if a := wreg.Active(); a.Hash != want || a.Version != 1 {
+		t.Fatalf("v2 export disturbed the active snapshot: version %d, hash %.8s", a.Version, a.Hash)
 	}
 
 	_, _, stacks := newFleet(t, 1, CoordinatorConfig{Model: image})
@@ -117,8 +120,8 @@ func TestOneModelOneIdentity(t *testing.T) {
 			t.Errorf("%s: snapshot hash %.8s, want the image digest %.8s", route, got, want)
 		}
 	}
-	if len(hashes) != 4 {
-		t.Fatalf("checked %d routes, want 4", len(hashes))
+	if len(hashes) != 3 {
+		t.Fatalf("checked %d routes, want 3", len(hashes))
 	}
 }
 

@@ -79,10 +79,10 @@ type BuildStats struct {
 // It is immutable and safe for concurrent use.
 //
 // Every recommender serves from its sealed arena image (modelio format
-// v3): Build, TreeDelta.Update and Restore seal the model where they
-// assemble it, and FromSealed wraps an image opened from disk. A built
+// v3): Build and TreeDelta.Update seal the model where they assemble
+// it, and FromSealed wraps an image opened from disk. A built
 // recommender additionally keeps its build output — space, covering
-// tree and rule lists — for inspection and persistence (Tree, Rules,
+// tree and rule lists — for inspection and export (Tree, Rules,
 // Alternates, Report, modelio.Save) and to fill Recommendation.Rule;
 // none of it is on the serving path.
 type Recommender struct {
@@ -232,11 +232,11 @@ func computeAlternates(space *hierarchy.Space, all []*rules.Rule) []*rules.Rule 
 	return alt
 }
 
-// assemble seals a built or restored covering tree into the image the
-// recommender serves from, keeping the tree and rule lists as build
-// output. final must be collectRules(root) in rank order; alt is the
-// per-item alternate rule list in rank order. It is the common exit of
-// Build, TreeDelta.Update and Restore.
+// assemble seals a built covering tree into the image the recommender
+// serves from, keeping the tree and rule lists as build output. final
+// must be collectRules(root) in rank order; alt is the per-item
+// alternate rule list in rank order. It is the common exit of Build and
+// TreeDelta.Update.
 func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
 	// NewMatcher always flattens, so both trie views exist.
 	mainView, _ := rules.NewMatcher(final).TrieView()
@@ -275,39 +275,6 @@ func (r *Recommender) serveFrom(m *arena.Model) {
 	}
 }
 
-// Restore reassembles a Recommender from a previously built covering
-// tree and per-item alternate rules — the deserialization path of model
-// persistence (internal/modelio). The tree must be the pruned tree of a
-// prior Build over an identically compiled space; Restore recomputes the
-// derived structures (rank order, statistics, the sealed image) but does
-// not re-estimate anything.
-func Restore(space *hierarchy.Space, root *Node, alternates []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
-	if space == nil || root == nil {
-		return nil, fmt.Errorf("core: nil space or tree")
-	}
-	if !root.Rule.IsDefault() {
-		return nil, fmt.Errorf("core: restored tree root is not a default rule")
-	}
-	final := collectRules(root)
-	rules.SortByRank(final)
-	// The serialized form stores alternates by value, so a rule that is
-	// both in the tree and a per-item alternate decodes as two objects.
-	// Build shares one pointer for both roles, and sealing keys the rule
-	// table and the explanation lineage by pointer — re-alias such
-	// alternates to the tree's object so a restored model seals
-	// identically to the model that was saved.
-	byID := make(map[string]*rules.Rule, len(final))
-	for _, rule := range final {
-		byID[rules.StableID(space, rule)] = rule
-	}
-	for i, rule := range alternates {
-		if shared, ok := byID[rules.StableID(space, rule)]; ok {
-			alternates[i] = shared
-		}
-	}
-	return assemble(space, root, final, alternates, generated, nonDominated)
-}
-
 // FromSealed wraps an opened sealed image as a Recommender. Nothing is
 // decoded and nothing per-rule or per-item happens here, so
 // construction is O(1) in model size (even the heap catalog stays
@@ -344,7 +311,7 @@ func (r *Recommender) Catalog() *model.Catalog {
 }
 
 // Alternates returns the per-item alternate rules backing RecommendTopK,
-// in matcher trie order, for persistence. The slice must not be
+// in matcher trie order, for export. The slice must not be
 // modified. Nil for an image opened from disk.
 func (r *Recommender) Alternates() []*rules.Rule { return r.alt }
 

@@ -51,8 +51,8 @@ func groceryWorld(t *testing.T, n int, seed int64) (*model.Dataset, *hierarchy.S
 	return g.Dataset, space
 }
 
-// saveBytes serializes a model the way every registry surface identifies
-// it — the oracle for byte-identity assertions.
+// saveBytes returns a model's v2 JSON export — the oracle for
+// byte-identity assertions.
 func saveBytes(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
 	t.Helper()
 	var buf bytes.Buffer

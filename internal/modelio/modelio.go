@@ -1,12 +1,15 @@
-// Package modelio persists built recommenders. A model file is
-// self-contained: it embeds the catalog, the concept hierarchy, the MOA
-// flag, the pruned covering tree (rules with their measures and projected
-// profits) and the per-item alternate rules, so a loaded model can answer
-// Recommend/RecommendTopK/Explain queries without the training data.
+// Package modelio moves built recommenders in and out of files. A
+// model is served, shipped and loaded only as its sealed arena image
+// (format v3, see sealed.go and internal/arena): LoadFile and LoadBytes
+// are the two ways in, and both refuse anything else. The v2 JSON
+// format written by Save is an export for inspection: a self-contained
+// structural description — catalog, concept hierarchy, MOA flag, the
+// pruned covering tree (rules with their measures and projected
+// profits) and the per-item alternate rules — that nothing reads back.
 //
-// Generalized sales are serialized structurally (item names, promotion
-// indexes, concept names) rather than as interned IDs, so files survive
-// any internal renumbering.
+// Generalized sales are written structurally (item names, promotion
+// indexes, concept names) rather than as interned IDs, so an export
+// reads without knowing the internal numbering.
 package modelio
 
 import (
@@ -17,7 +20,6 @@ import (
 	"io"
 	"os"
 
-	"profitmining/internal/arena"
 	"profitmining/internal/core"
 	"profitmining/internal/dataio"
 	"profitmining/internal/hierarchy"
@@ -25,11 +27,8 @@ import (
 	"profitmining/internal/rules"
 )
 
-// formatV2 is the JSON format version. Its mandatory payload checksum
-// makes a truncated or bit-flipped file fail loudly instead of restoring
-// a silently corrupted model (the registry's validation gate depends on
-// this); files without one — including the checksum-less v1 format —
-// are refused.
+// formatV2 is the JSON export's format version. Its payload checksum
+// lets a reader of an export detect a truncated or edited file.
 const formatV2 = "profitmining-model/v2"
 
 // genJSON is the structural form of one generalized sale.
@@ -43,11 +42,7 @@ type genJSON struct {
 type ruleJSON struct {
 	// ID is the rule's stable content-hash identity (rules.StableID),
 	// recorded so operators can join serving logs and feedback outcomes
-	// against the model file offline. It is derived data: Load recomputes
-	// it from body/head and rejects a file whose stored ID disagrees,
-	// which catches a hand-edited rule body even when the payload
-	// checksum was recomputed. Files without the field (pre-feedback
-	// saves) load normally.
+	// against the export offline.
 	ID string `json:"id,omitempty"`
 
 	Body      []genJSON `json:"body,omitempty"`
@@ -78,9 +73,9 @@ type modelFile struct {
 	Alternates   []ruleJSON            `json:"alternates,omitempty"`
 }
 
-// Save serializes a recommender with its catalog and hierarchy spec.
-// It needs the build output (covering tree and rules), which an image
-// opened from disk does not carry.
+// Save writes a recommender's v2 JSON export with its catalog and
+// hierarchy spec. It needs the build output (covering tree and rules),
+// which an image opened from disk does not carry.
 func Save(w io.Writer, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core.Recommender) error {
 	space := rec.Space()
 	if space == nil {
@@ -119,11 +114,11 @@ func Save(w io.Writer, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core
 }
 
 // checksum hashes the compact JSON encoding of mf with the Checksum
-// field cleared. Both Save and Load derive the bytes by marshaling the
-// same struct, so indentation and field layout cancel out, while any
-// content change — a flipped bit inside a name, a dropped rule — shows
-// up on re-encoding. encoding/json is deterministic here: struct fields
-// encode in declaration order and map keys sort.
+// field cleared, so a reader that re-encodes the same struct gets the
+// same bytes whatever the indentation, while any content change — a
+// flipped bit inside a name, a dropped rule — shows up. encoding/json
+// is deterministic here: struct fields encode in declaration order and
+// map keys sort.
 func checksum(mf *modelFile) (string, error) {
 	clean := *mf
 	clean.Checksum = ""
@@ -135,52 +130,7 @@ func checksum(mf *modelFile) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Load deserializes a model file back into a usable recommender and its
-// catalog.
-func Load(r io.Reader) (*model.Catalog, *core.Recommender, error) {
-	var mf modelFile
-	if err := json.NewDecoder(r).Decode(&mf); err != nil {
-		return nil, nil, fmt.Errorf("modelio: decoding model (truncated or corrupt file?): %w", err)
-	}
-	if err := verifyHeader(&mf); err != nil {
-		return nil, nil, err
-	}
-
-	cat, err := dataio.DecodeCatalog(mf.Items, mf.Promos)
-	if err != nil {
-		return nil, nil, err
-	}
-	hb, err := mf.Hierarchy.Builder(cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	space, err := hb.Compile(hierarchy.Options{MOA: mf.MOA})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	dec := decoder{space: space, cat: cat}
-	root, err := dec.node(mf.Tree, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	var alternates []*rules.Rule
-	for i := range mf.Alternates {
-		rule, err := dec.rule(&mf.Alternates[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		alternates = append(alternates, rule)
-	}
-
-	rec, err := core.Restore(space, root, alternates, mf.Generated, mf.NonDominated)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cat, rec, nil
-}
-
-// SaveFile and LoadFile are the path-based conveniences.
+// SaveFile writes the v2 JSON export to path.
 func SaveFile(path string, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core.Recommender) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -191,80 +141,6 @@ func SaveFile(path string, cat *model.Catalog, spec *dataio.HierarchySpec, rec *
 		return err
 	}
 	return f.Close()
-}
-
-// Verify checks a model stream's format version and payload checksum
-// without restoring the recommender — the cheap integrity probe used
-// before shipping a file to a serving fleet.
-func Verify(r io.Reader) error {
-	var mf modelFile
-	if err := json.NewDecoder(r).Decode(&mf); err != nil {
-		return fmt.Errorf("modelio: decoding model (truncated or corrupt file?): %w", err)
-	}
-	return verifyHeader(&mf)
-}
-
-// verifyHeader checks the format version, the payload checksum, and
-// the presence of the covering tree.
-func verifyHeader(mf *modelFile) error {
-	if mf.Format != formatV2 {
-		return fmt.Errorf("modelio: unsupported format %q", mf.Format)
-	}
-	if mf.Checksum == "" {
-		return fmt.Errorf("modelio: %s file is missing its checksum", formatV2)
-	}
-	want, err := checksum(mf)
-	if err != nil {
-		return err
-	}
-	if mf.Checksum != want {
-		return fmt.Errorf("modelio: checksum mismatch (file corrupt?): header %.8s, content %.8s", mf.Checksum, want)
-	}
-	if mf.Tree == nil {
-		return fmt.Errorf("modelio: model has no covering tree")
-	}
-	return nil
-}
-
-// VerifyFile is the path-based form of Verify. Sealed (v3) files are
-// sniffed by magic and verified with their whole-file checksum.
-func VerifyFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if sniffSealed(f) {
-		m, err := arena.OpenFile(path, arena.Options{})
-		if err != nil {
-			return err
-		}
-		defer m.Arena().Close()
-		return m.Verify()
-	}
-	return Verify(f)
-}
-
-// LoadFile reads a model file of any format from disk: sealed (v3)
-// files open by mmap, v2 decodes as JSON.
-func LoadFile(path string) (*model.Catalog, *core.Recommender, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sniffSealed(f) {
-		f.Close()
-		return OpenSealed(path, arena.Options{})
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-// sniffSealed peeks the magic at the start of f and rewinds.
-func sniffSealed(f *os.File) bool {
-	var prefix [arena.HeaderPrefixLen]byte
-	n, _ := f.ReadAt(prefix[:], 0) //lint:allow droppederr -- a short or failed read simply fails the sniff; the JSON path reports the real error
-	return arena.SniffMagic(prefix[:n])
 }
 
 type encoder struct {
@@ -328,95 +204,4 @@ func (e encoder) node(n *core.Node) (*nodeJSON, error) {
 		nj.Children = append(nj.Children, cj)
 	}
 	return nj, nil
-}
-
-type decoder struct {
-	space *hierarchy.Space
-	cat   *model.Catalog
-}
-
-func (d decoder) gen(gj genJSON) (hierarchy.GenID, error) {
-	switch gj.Kind {
-	case "concept":
-		for g := 0; g < d.space.NumNodes(); g++ {
-			id := hierarchy.GenID(g)
-			if d.space.Kind(id) == hierarchy.KindConcept && d.space.Name(id) == gj.Name {
-				return id, nil
-			}
-		}
-		return 0, fmt.Errorf("modelio: unknown concept %q", gj.Name)
-	case "item":
-		item, ok := d.cat.ItemByName(gj.Name)
-		if !ok {
-			return 0, fmt.Errorf("modelio: unknown item %q", gj.Name)
-		}
-		return d.space.ItemNode(item), nil
-	case "promo":
-		item, ok := d.cat.ItemByName(gj.Item)
-		if !ok {
-			return 0, fmt.Errorf("modelio: unknown item %q", gj.Item)
-		}
-		promos := d.cat.Promos(item)
-		if gj.PromoIx < 0 || gj.PromoIx >= len(promos) {
-			return 0, fmt.Errorf("modelio: item %q has no promo index %d", gj.Item, gj.PromoIx)
-		}
-		return d.space.PromoNode(promos[gj.PromoIx]), nil
-	default:
-		return 0, fmt.Errorf("modelio: unknown generalized-sale kind %q", gj.Kind)
-	}
-}
-
-func (d decoder) rule(rj *ruleJSON) (*rules.Rule, error) {
-	r := &rules.Rule{
-		BodyCount: rj.BodyCount,
-		HitCount:  rj.HitCount,
-		Profit:    rj.Profit,
-		Order:     rj.Order,
-	}
-	var err error
-	if r.Head, err = d.gen(rj.Head); err != nil {
-		return nil, err
-	}
-	// Every consumer of a rule (its stable ID, sealing, serving)
-	// resolves the head to a catalog promo, so refuse any other kind
-	// of generalized sale here.
-	if d.space.Kind(r.Head) != hierarchy.KindItemPromo {
-		return nil, fmt.Errorf("modelio: rule head %s is not an (item, promo) pair", d.space.Name(r.Head))
-	}
-	for _, gj := range rj.Body {
-		g, err := d.gen(gj)
-		if err != nil {
-			return nil, err
-		}
-		r.Body = append(r.Body, g)
-	}
-	// Bodies are stored in canonical (sorted) order already, but sort
-	// defensively: matching relies on it.
-	for i := 1; i < len(r.Body); i++ {
-		for j := i; j > 0 && r.Body[j] < r.Body[j-1]; j-- {
-			r.Body[j], r.Body[j-1] = r.Body[j-1], r.Body[j]
-		}
-	}
-	if rj.ID != "" {
-		if want := rules.StableID(d.space, r); rj.ID != want {
-			return nil, fmt.Errorf("modelio: rule ID %s does not match its content (want %s); file edited?", rj.ID, want)
-		}
-	}
-	return r, nil
-}
-
-func (d decoder) node(nj *nodeJSON, parent *core.Node) (*core.Node, error) {
-	rule, err := d.rule(&nj.Rule)
-	if err != nil {
-		return nil, err
-	}
-	n := &core.Node{Rule: rule, Parent: parent, Projected: nj.Projected}
-	for _, cj := range nj.Children {
-		c, err := d.node(cj, n)
-		if err != nil {
-			return nil, err
-		}
-		n.Children = append(n.Children, c)
-	}
-	return n, nil
 }

@@ -2,12 +2,16 @@ package modelio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"profitmining/internal/arena"
 	"profitmining/internal/core"
 	"profitmining/internal/datagen"
 	"profitmining/internal/dataio"
@@ -55,53 +59,58 @@ func buildGrocery(t *testing.T) (*datagen.Grocery, *dataio.HierarchySpec, *core.
 	return g, spec, rec
 }
 
-func TestModelRoundTrip(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-
-	var buf bytes.Buffer
-	if err := Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
+// sealGrocery builds the grocery model and returns its sealed image.
+func sealGrocery(t *testing.T) (*datagen.Grocery, *core.Recommender, []byte) {
+	t.Helper()
+	g, _, rec := buildGrocery(t)
+	image, err := Seal(g.Dataset.Catalog, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cat2, rec2, err := Load(&buf)
+	return g, rec, image
+}
+
+// TestModelRoundTrip: the image a model is sealed into carries its
+// catalog, build statistics and every final rule's measures.
+func TestModelRoundTrip(t *testing.T) {
+	g, rec, image := sealGrocery(t)
+	cat2, rec2, err := LoadBytes(image)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if cat2.NumItems() != g.Dataset.Catalog.NumItems() || cat2.NumPromos() != g.Dataset.Catalog.NumPromos() {
+	cat := g.Dataset.Catalog
+	if cat2.NumItems() != cat.NumItems() || cat2.NumPromos() != cat.NumPromos() {
 		t.Fatal("catalog changed in round trip")
 	}
-	if rec2.Stats().RulesFinal != rec.Stats().RulesFinal {
-		t.Fatalf("rule count changed: %d vs %d", rec2.Stats().RulesFinal, rec.Stats().RulesFinal)
+	for i := 1; i <= cat.NumItems(); i++ {
+		a, b := cat.Item(model.ItemID(i)), cat2.Item(model.ItemID(i))
+		if a.Name != b.Name || a.Target != b.Target {
+			t.Fatalf("item %d: %+v vs %+v", i, a, b)
+		}
 	}
-	if math.Abs(rec2.Stats().ProjectedProfit-rec.Stats().ProjectedProfit) > 1e-9 {
-		t.Fatalf("projected profit changed: %g vs %g",
-			rec2.Stats().ProjectedProfit, rec.Stats().ProjectedProfit)
-	}
-	if rec2.Stats().RulesGenerated != rec.Stats().RulesGenerated {
-		t.Error("generated-rule stat lost")
+	if rec2.Stats() != rec.Stats() {
+		t.Fatalf("stats changed: %+v vs %+v", rec2.Stats(), rec.Stats())
 	}
 
-	// Every rule survives with identical measures, matched by rank order.
-	r1, r2 := rec.Rules(), rec2.Rules()
-	for i := range r1 {
-		a, b := r1[i], r2[i]
-		if a.BodyCount != b.BodyCount || a.HitCount != b.HitCount ||
-			math.Abs(a.Profit-b.Profit) > 1e-9 || a.Order != b.Order || len(a.Body) != len(b.Body) {
-			t.Fatalf("rule %d changed: %s vs %s",
-				i, a.String(rec.Space()), b.String(rec2.Space()))
+	// Every final rule survives with identical measures, in rank order.
+	rt := rec2.Sealed().Rules()
+	for i, a := range rec.Rules() {
+		ix := int32(i)
+		if int(rt.BodyCount[ix]) != a.BodyCount || int(rt.Hits[ix]) != a.HitCount ||
+			math.Abs(rt.Profit[ix]-a.Profit) > 1e-9 || int(rt.Order[ix]) != a.Order ||
+			int(rt.BodyLen(ix)) != len(a.Body) {
+			t.Fatalf("rule %d changed: %s vs %s", i, a.String(rec.Space()), rt.String(ix))
 		}
 	}
 }
 
 // TestLoadedModelRecommendsIdentically is the behavioural equivalence:
-// the loaded model must answer every basket exactly like the original.
+// the loaded image must answer every basket exactly like the model
+// built in process.
 func TestLoadedModelRecommendsIdentically(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
-		t.Fatal(err)
-	}
-	cat2, rec2, err := Load(&buf)
+	g, rec, image := sealGrocery(t)
+	cat2, rec2, err := LoadBytes(image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,21 +119,19 @@ func TestLoadedModelRecommendsIdentically(t *testing.T) {
 		basket := g.Dataset.Transactions[i].NonTarget
 		a := rec.Recommend(basket)
 		b := rec2.Recommend(basket)
-		// Compare structurally: item names and promo parameters (IDs are
-		// catalog-relative but catalogs are built identically here).
-		if g.Dataset.Catalog.Item(a.Item).Name != cat2.Item(b.Item).Name {
-			t.Fatalf("basket %d: item %s vs %s", i,
-				g.Dataset.Catalog.Item(a.Item).Name, cat2.Item(b.Item).Name)
+		if a.Item != b.Item || a.Promo != b.Promo || a.ID != b.ID {
+			t.Fatalf("basket %d: built %s [%s], loaded %s [%s]", i,
+				g.Dataset.Catalog.Item(a.Item).Name, a.ID, cat2.Item(b.Item).Name, b.ID)
 		}
-		pa, pb := g.Dataset.Catalog.Promo(a.Promo), cat2.Promo(b.Promo)
-		if pa.Price != pb.Price || pa.Cost != pb.Cost || pa.Packing != pb.Packing {
-			t.Fatalf("basket %d: promo %+v vs %+v", i, pa, pb)
-		}
-		// Top-K parity too.
 		ta := rec.RecommendTopK(basket, 2)
 		tb := rec2.RecommendTopK(basket, 2)
 		if len(ta) != len(tb) {
 			t.Fatalf("basket %d: TopK sizes %d vs %d", i, len(ta), len(tb))
+		}
+		for j := range ta {
+			if ta[j].ID != tb[j].ID {
+				t.Fatalf("basket %d rank %d: rule %s vs %s", i, j, ta[j].ID, tb[j].ID)
+			}
 		}
 	}
 }
@@ -141,16 +148,17 @@ func TestSaveFileErrorPaths(t *testing.T) {
 }
 
 func TestModelFileRoundTrip(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	path := filepath.Join(t.TempDir(), "model.pmm")
-	if err := SaveFile(path, g.Dataset.Catalog, spec, rec); err != nil {
+	g, _, rec := buildGrocery(t)
+	path := filepath.Join(t.TempDir(), "model.pma")
+	if err := SealFile(path, g.Dataset.Catalog, rec); err != nil {
 		t.Fatal(err)
 	}
 	_, rec2, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec2.Stats().RulesFinal != rec.Stats().RulesFinal {
+	defer rec2.Sealed().Arena().Close()
+	if rec2.Stats() != rec.Stats() || rec2.Sealed().ContentHash() != rec.Sealed().ContentHash() {
 		t.Error("file round trip changed the model")
 	}
 	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
@@ -175,140 +183,121 @@ func TestModelFlatDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, ds.Catalog, nil, rec); err != nil {
+	image, err := Seal(ds.Catalog, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := Load(&buf)
+	_, rec2, err := LoadBytes(image)
 	if err != nil {
 		t.Fatal(err)
 	}
 	basket := ds.Transactions[0].NonTarget
-	if rec.Recommend(basket).Rule.Order != rec2.Recommend(basket).Rule.Order {
+	if rec.Recommend(basket).ID != rec2.Recommend(basket).ID {
 		t.Error("flat model changed behaviour in round trip")
 	}
 }
 
-// withChecksum stamps the v2 format and a valid checksum onto a
-// hand-written model body, so a case gets past the integrity check and
-// reaches the decoder check it targets.
-func withChecksum(t *testing.T, body string) string {
-	t.Helper()
-	var mf modelFile
-	if err := json.Unmarshal([]byte(body), &mf); err != nil {
-		t.Fatal(err)
-	}
-	mf.Format = formatV2
-	sum, err := checksum(&mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf.Checksum = sum
-	data, err := json.Marshal(&mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
+// restamp re-stamps the header digest of a patched image, so only the
+// structural checks can catch the patch.
+func restamp(image []byte) []byte {
+	sum := sha256.Sum256(image[arena.HeaderPrefixLen:])
+	copy(image[16:arena.HeaderPrefixLen], sum[:])
+	return image
 }
 
+// patchI32 returns a re-stamped copy of image with entry ix of the
+// int32 section sec set to v.
+func patchI32(image []byte, sec, ix int, v int32) []byte {
+	img := append([]byte(nil), image...)
+	off := binary.LittleEndian.Uint64(img[64+16*sec:])
+	binary.LittleEndian.PutUint32(img[int(off)+4*ix:], uint32(v))
+	return restamp(img)
+}
+
+// TestLoadErrors: LoadBytes refuses anything that is not a well-formed
+// sealed image, with an error and never a panic — including images
+// whose interior offsets, trie blocks or rule indices point outside
+// their columns under a consistent checksum. Each patched image below
+// opened without complaint and panicked on first use before Verify
+// scanned the interior.
 func TestLoadErrors(t *testing.T) {
-	const catA = `"items":[{"name":"A","target":true}],"promos":[{"item":1,"price":1,"cost":0,"packing":1}]`
+	_, rec, image := sealGrocery(t)
+	meta, trie, alt := rec.Sealed().Meta(), rec.Sealed().Trie(), rec.Sealed().Alternates()
+	if len(alt.Rules) == 0 || meta.NumRules < 3 {
+		t.Fatal("test model needs alternates and at least three rules")
+	}
+	// A re-stamped but otherwise untouched image loads: the patches
+	// below fail on their content, not on the digest.
+	if _, _, err := LoadBytes(restamp(append([]byte(nil), image...))); err != nil {
+		t.Fatalf("re-stamped pristine image: %v", err)
+	}
 	cases := []struct {
-		name, input, want string
+		name string
+		data []byte
 	}{
-		{"garbage", "not json", "decoding model"},
-		{"wrong format", `{"format":"x"}`, "unsupported format"},
-		{"no tree", withChecksum(t, `{`+catA+`}`), "no covering tree"},
-		{"unknown item in rule", withChecksum(t, `{`+catA+`,"tree":{"rule":{"head":{"kind":"promo","item":"Ghost","promoIx":0}}}}`), `unknown item "Ghost"`},
-		{"unknown concept", withChecksum(t, `{`+catA+`,"tree":{"rule":{"body":[{"kind":"concept","name":"Nope"}],"head":{"kind":"promo","item":"A","promoIx":0}}}}`), `unknown concept "Nope"`},
-		{"bad promo index", withChecksum(t, `{`+catA+`,"tree":{"rule":{"head":{"kind":"promo","item":"A","promoIx":7}}}}`), "no promo index 7"},
-		{"bad gen kind", withChecksum(t, `{`+catA+`,"tree":{"rule":{"head":{"kind":"alien"}}}}`), `unknown generalized-sale kind "alien"`},
-		{"non-default root", withChecksum(t, `{"items":[{"name":"A","target":true},{"name":"B"}],"promos":[{"item":1,"price":1,"cost":0,"packing":1},{"item":2,"price":1,"cost":0,"packing":1}],"tree":{"rule":{"body":[{"kind":"item","name":"B"}],"head":{"kind":"promo","item":"A","promoIx":0}}}}`), "not a default rule"},
-		// A head must be an (item, promo) pair: the stable ID, the seal
-		// and serving all resolve it to a catalog promo.
-		{"item head", withChecksum(t, `{`+catA+`,"tree":{"rule":{"head":{"kind":"item","name":"A"}}}}`), "head A is not an (item, promo) pair"},
-		{"concept head", withChecksum(t, `{"items":[{"name":"A","target":true},{"name":"B"}],"promos":[{"item":1,"price":1,"cost":0,"packing":1},{"item":2,"price":1,"cost":0,"packing":1}],"hierarchy":{"concepts":[{"name":"Food"}],"placements":{"B":["Food"]}},"tree":{"rule":{"head":{"kind":"concept","name":"Food"}}}}`), "head Food is not an (item, promo) pair"},
-		{"item head of an alternate", withChecksum(t, `{`+catA+`,"tree":{"rule":{"head":{"kind":"promo","item":"A","promoIx":0}}},"alternates":[{"head":{"kind":"item","name":"A"}}]}`), "head A is not an (item, promo) pair"},
+		{"not an image", []byte("not a model")},
+		{"header only", image[:arena.HeaderPrefixLen]},
+		{"matcher ChildHi[0] past the nodes", patchI32(image, arena.SecTrieChildHi, 0, int32(len(trie.Item)+1))},
+		{"matcher RuleHi[0] past the rule list", patchI32(image, arena.SecTrieRuleHi, 0, int32(len(trie.Rules)+1))},
+		{"matcher Rules[0] past the rule table", patchI32(image, arena.SecTrieRules, 0, int32(meta.NumRules))},
+		{"alternates Rules[0] past the rule table", patchI32(image, arena.SecAltRules, 0, int32(meta.NumRules))},
+		{"BodyOff[1] past the body pool", patchI32(image, arena.SecRuleBodyOff, 1, 1<<30)},
+		{"string offset [1] past the string pool", patchI32(image, arena.SecRuleStrOff, 1, 1<<30)},
+		{"alternate's head item outside the catalog", patchI32(image, arena.SecRuleHeadItem, int(alt.Rules[len(alt.Rules)-1]), int32(meta.NumItems+1))},
 	}
 	for _, tc := range cases {
-		_, _, err := Load(strings.NewReader(tc.input))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		_, _, err := LoadBytes(tc.data)
+		if err == nil {
+			t.Errorf("%s: loaded", tc.name)
+		} else if strings.Contains(err.Error(), "checksum") {
+			t.Errorf("%s: failed on the digest, not the content: %v", tc.name, err)
 		}
 	}
 }
 
-func TestRestoreValidation(t *testing.T) {
-	if _, err := core.Restore(nil, nil, nil, 0, 0); err == nil {
-		t.Error("nil inputs must fail")
-	}
-	cat := model.NewCatalog()
-	it := cat.AddItem("T", true)
-	cat.AddPromo(it, 2, 1, 1)
-	space := hierarchy.Flat(cat, hierarchy.Options{MOA: true})
-	_ = space
-	if _, err := core.Restore(space, nil, nil, 0, 0); err == nil {
-		t.Error("nil tree must fail")
-	}
-}
-
 // TestChecksumDetectsBitFlip is the corruption regression: a single bit
-// flipped inside the payload — still perfectly valid JSON — must be
-// caught by the v2 checksum instead of restoring a silently wrong model.
+// flipped inside the payload — structurally still a valid image — must
+// be caught by the image's checksum instead of serving a silently wrong
+// model, from bytes and from a file.
 func TestChecksumDetectsBitFlip(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
+	_, _, image := sealGrocery(t)
+	flipped := append([]byte(nil), image...)
+	flipped[len(flipped)-10] ^= 0x01
+
+	if _, _, err := LoadBytes(flipped); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("bit-flipped image: err = %v, want checksum mismatch", err)
+	}
+	path := filepath.Join(t.TempDir(), "model.pma")
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-
-	// Flip one bit of the first item-name byte: "Beer" → "Ceer" keeps
-	// the JSON well-formed but changes the content.
-	ix := bytes.Index(data, []byte(`"Beer"`))
-	if ix < 0 {
-		t.Fatal("grocery model lost its Beer")
+	if err := VerifyFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("VerifyFile on bit-flipped image: err = %v", err)
 	}
-	flipped := append([]byte(nil), data...)
-	flipped[ix+1] ^= 0x01
-
-	if _, _, err := Load(bytes.NewReader(flipped)); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("bit-flipped model: err = %v, want checksum mismatch", err)
-	}
-	if err := Verify(bytes.NewReader(flipped)); err == nil ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("Verify on bit-flipped model: err = %v", err)
+	if _, _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("LoadFile on bit-flipped image: err = %v", err)
 	}
 
 	// The pristine bytes still load and verify.
-	if _, _, err := Load(bytes.NewReader(data)); err != nil {
-		t.Fatalf("pristine model: %v", err)
-	}
-	if err := Verify(bytes.NewReader(data)); err != nil {
-		t.Fatalf("Verify on pristine model: %v", err)
+	if _, _, err := LoadBytes(image); err != nil {
+		t.Fatalf("pristine image: %v", err)
 	}
 }
 
 func TestTruncatedModelFailsClearly(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	_, _, image := sealGrocery(t)
 	for _, frac := range []int{2, 4, 10} {
-		cut := data[:len(data)/frac]
-		_, _, err := Load(bytes.NewReader(cut))
-		if err == nil || !strings.Contains(err.Error(), "truncated or corrupt") {
+		cut := image[:len(image)/frac]
+		_, _, err := LoadBytes(cut)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("1/%d truncation: err = %v, want truncation message", frac, err)
 		}
 	}
 }
 
-// TestLoadRejectsV1: files of the checksum-less v1 format fail closed
-// in both Load and Verify — without a checksum, nothing would catch a
-// truncated or bit-flipped payload.
+// TestLoadRejectsV1: JSON model files — the old checksum-less v1 format
+// as much as today's v2 export — fail closed at every modelio entry
+// point; only a sealed image loads.
 func TestLoadRejectsV1(t *testing.T) {
 	g, spec, rec := buildGrocery(t)
 	var buf bytes.Buffer
@@ -325,41 +314,28 @@ func TestLoadRejectsV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported format") {
-		t.Fatalf("v1 file: Load err = %v, want unsupported format", err)
-	}
-	if err := Verify(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported format") {
-		t.Errorf("v1 file: Verify err = %v, want unsupported format", err)
-	}
-}
-
-// TestV2RequiresChecksum: a v2 file with its checksum stripped is
-// rejected — the field is the integrity contract, not an ornament.
-func TestV2RequiresChecksum(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, g.Dataset.Catalog, spec, rec); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	delete(raw, "checksum")
-	stripped, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(bytes.NewReader(stripped)); err == nil ||
-		!strings.Contains(err.Error(), "missing its checksum") {
-		t.Fatalf("checksum-stripped v2: err = %v", err)
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"v1": v1, "v2": buf.Bytes()} {
+		if _, _, err := LoadBytes(data); err == nil {
+			t.Errorf("%s JSON: LoadBytes accepted it", name)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadFile(path); err == nil {
+			t.Errorf("%s JSON: LoadFile accepted it", name)
+		}
+		if err := VerifyFile(path); err == nil {
+			t.Errorf("%s JSON: VerifyFile accepted it", name)
+		}
 	}
 }
 
 func TestVerifyFile(t *testing.T) {
-	g, spec, rec := buildGrocery(t)
-	path := filepath.Join(t.TempDir(), "model.pmm")
-	if err := SaveFile(path, g.Dataset.Catalog, spec, rec); err != nil {
+	g, _, rec := buildGrocery(t)
+	path := filepath.Join(t.TempDir(), "model.pma")
+	if err := SealFile(path, g.Dataset.Catalog, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyFile(path); err != nil {

@@ -1,7 +1,6 @@
 package modelio
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -11,22 +10,16 @@ import (
 )
 
 // This file is modelio format v3: the sealed arena image (see
-// internal/arena for the byte layout). Unlike v2, a sealed file is a
-// serving artifact, not an interchange format — it stores interned IDs,
-// flattened tries, and pre-marshaled response blobs, and it loads in
-// O(1) of the rule count by mmap. Save still writes v2 (the editable,
-// structural form); core seals every model where it is built or
-// restored, and Seal hands out that image.
-
-// IsSealed reports whether data begins with a sealed-model header.
-func IsSealed(data []byte) bool { return arena.SniffMagic(data) }
+// internal/arena for the byte layout), the only format a model loads
+// from. It is a serving artifact, not an interchange format — it stores
+// interned IDs, flattened tries, and pre-marshaled response blobs, and
+// it opens in O(1) of the rule count by mmap. core seals every model
+// where it is built, and Seal hands out that image.
 
 // ContentHash returns a sealed image's identity in hex: the digest
 // embedded in its header, read without a hashing pass. It is "" for
-// anything else — a JSON model's identity is the digest of the image it
-// is sealed into when loaded. Registry snapshots and cluster
-// distribution carry this value, so a model keeps one identity however
-// it arrives.
+// anything else. Registry snapshots and cluster distribution carry this
+// value, so a model keeps one identity however it arrives.
 func ContentHash(data []byte) string {
 	h, err := arena.HeaderHash(data)
 	if err != nil {
@@ -35,29 +28,38 @@ func ContentHash(data []byte) string {
 	return h
 }
 
-// LoadBytes restores a model of any format held in memory: sealed
-// images are verified and opened zero-copy; v2 JSON decodes through
-// Load. The cluster sync path receives images this way.
-func LoadBytes(data []byte) (*model.Catalog, *core.Recommender, error) {
-	if IsSealed(data) {
-		m, err := arena.OpenBytes(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fromVerified(m)
-	}
-	return Load(bytes.NewReader(data))
-}
-
-// OpenSealed opens a sealed model file — mmap plus O(1) fixup — then
-// runs the full checksum verification once. opts.NoMmap forces the
-// pure-Go fallback.
-func OpenSealed(path string, opts arena.Options) (*model.Catalog, *core.Recommender, error) {
-	m, err := arena.OpenFile(path, opts)
+// LoadFile opens a sealed model file — mmap (or the pm_nommap ReadFile
+// fallback) plus O(1) fixup — then verifies it once. Anything but a
+// sealed image, a v2 JSON export included, fails.
+func LoadFile(path string) (*model.Catalog, *core.Recommender, error) {
+	m, err := arena.OpenFile(path, arena.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
 	return fromVerified(m)
+}
+
+// LoadBytes opens a sealed image held in memory zero-copy and verifies
+// it; anything else fails. The cluster sync path receives images this
+// way.
+func LoadBytes(data []byte) (*model.Catalog, *core.Recommender, error) {
+	m, err := arena.OpenBytes(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fromVerified(m)
+}
+
+// VerifyFile checks a sealed model file's structure and whole-file
+// checksum without wrapping a recommender around it — the cheap
+// integrity probe before shipping a file to a serving fleet.
+func VerifyFile(path string) error {
+	m, err := arena.OpenFile(path, arena.Options{})
+	if err != nil {
+		return err
+	}
+	defer m.Arena().Close()
+	return m.Verify()
 }
 
 // fromVerified gates an opened arena behind Verify and wraps it. The

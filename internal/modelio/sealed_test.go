@@ -185,10 +185,11 @@ func TestSealedRecommendZeroAllocs(t *testing.T) {
 }
 
 // TestResealStability pins the sealed image as a stable content
-// identity: a built model's image and the image its v2 round trip is
-// sealed into on load must agree byte for byte — so the registry and
-// cluster see one content hash for one logical model no matter which
-// host sealed it or which format carried it.
+// identity: the same dataset built serially and with four workers seals
+// to bit-identical images, and sealing the recommender opened from that
+// image returns the same bytes — so the registry and cluster see one
+// content hash for one logical model whichever host built it and
+// however many hops it took.
 func TestResealStability(t *testing.T) {
 	ds, err := datagen.Generate(datagen.DatasetIConfig(quest.Config{
 		NumTransactions: 1500,
@@ -199,8 +200,7 @@ func TestResealStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := ds.Catalog
-	spec := dataio.SyntheticHierarchySpec(cat, 5)
-	hb, err := spec.Builder(cat)
+	hb, err := dataio.SyntheticHierarchySpec(cat, 5).Builder(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,38 +208,44 @@ func TestResealStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mined, err := mining.Mine(space, ds.Transactions, mining.Options{MinSupport: 0.005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := core.Build(space, ds.Transactions, mined, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Seal(cat, heap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := Save(&v2, cat, spec, heap); err != nil {
-		t.Fatal(err)
-	}
-	cat2, restored, err := Load(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Seal(cat2, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		i := 0
-		for i < len(first) && i < len(second) && first[i] == second[i] {
-			i++
+	seal := func(workers int) []byte {
+		t.Helper()
+		mined, err := mining.Mine(space, ds.Transactions, mining.Options{MinSupport: 0.005, Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("reseal after v2 round-trip diverges at byte %d of %d (second is %d bytes)",
-			i, len(first), len(second))
+		rec, err := core.Build(space, ds.Transactions, mined, core.Config{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		image, err := Seal(cat, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return image
 	}
+	first := seal(1)
+	requireEqual := func(what string, a, b []byte) {
+		t.Helper()
+		if !bytes.Equal(a, b) {
+			i := 0
+			for i < len(a) && i < len(b) && a[i] == b[i] {
+				i++
+			}
+			t.Fatalf("%s diverges at byte %d of %d (second is %d bytes)", what, i, len(a), len(b))
+		}
+	}
+	requireEqual("the 4-worker image", first, seal(4))
+
+	cat2, opened, err := LoadBytes(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Seal(cat2, opened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqual("the reseal of the opened image", first, second)
 	if ContentHash(first) != ContentHash(second) {
 		t.Fatal("reseal changed the content hash")
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // grocerySpec is the grocery concept hierarchy in its serializable
-// form, so models built here survive a Save/Load round trip.
+// form, so models built here can be exported.
 func grocerySpec() *dataio.HierarchySpec {
 	return &dataio.HierarchySpec{
 		Concepts: []dataio.ConceptSpec{

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,14 +15,15 @@ import (
 	"profitmining/internal/modelio"
 )
 
-// Watcher polls a model file and feeds changed versions through the
-// registry's validation gate. Change detection is two-level: a cheap
-// stat (mtime + size) decides whether to read the file at all, and a
-// content hash decides whether the bytes are actually new — an
-// overwrite with identical content, or a touch(1), never restages. A
-// sealed file's hash is its header digest, which is also the model's
-// identity; a JSON file is keyed by the sha256 of its bytes until
-// decoded, and then compared by the digest of the image it seals into.
+// Watcher polls a sealed model file and feeds changed versions through
+// the registry's validation gate. Change detection is two-level: a
+// cheap stat (mtime + size) decides whether to read the file at all,
+// and a content hash decides whether the bytes are actually new — an
+// overwrite with identical content, or a touch(1), never restages. The
+// hash is the image's header digest, which is also the model's
+// identity. A file that is not a sealed image (a v2 JSON export,
+// garbage, a damaged header) is rejected, keyed by the sha256 of its
+// bytes.
 //
 // The stat fast path is only trusted once the memoized mtime is
 // comfortably older than the read that memoized it (mtimeSlack). A file
@@ -112,88 +112,67 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 		// last read: any later write would have bumped the mtime.
 		return nil, Unchanged, nil
 	}
-	// Sealed models carry their content hash in the first 48 bytes, so
-	// identifying one costs a header read per changed stat, not a
-	// whole-file hashing pass.
-	if hash, ok := w.sealedHeaderHash(); ok {
-		return w.checkSealed(info, hash)
+	// A sealed image carries its content hash in its first 48 bytes, so
+	// a changed stat over unchanged content costs a header read, not a
+	// whole-file read.
+	hash, err := w.headerHash()
+	if err == nil {
+		// The header read does not prove the body is finished; the stat
+		// memo's raced-writer caveat is covered by mtimeSlack, which
+		// re-reads until the tick has safely passed.
+		w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
+		activeVer, seen := w.memoized(hash)
+		if seen || w.serving(hash, activeVer) {
+			return nil, Unchanged, nil
+		}
 	}
 
-	data, err := os.ReadFile(w.path)
-	if err != nil {
-		return nil, Rejected, fmt.Errorf("read model file: %w", err)
+	// The model loads from a private copy of the file, never a mapping
+	// of it: an operator may rewrite the file in place, and a mapping of
+	// a truncated file faults on the next request the snapshot serves.
+	data, rerr := os.ReadFile(w.path)
+	if rerr != nil {
+		w.lastHash = "" // memoize nothing: retry next poll
+		return nil, Rejected, fmt.Errorf("read model file: %w", rerr)
 	}
 	// Memoize the stat only after a successful read, so a read that
 	// raced a writer is retried next poll.
 	w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
+	if err == nil {
+		cat, rec, lerr := modelio.LoadBytes(data)
+		if lerr == nil {
+			return w.submit(cat, rec)
+		}
+		err = lerr
+	}
 
-	// A JSON file's identity is the digest of the image it is sealed
-	// into, known only once decoded; the sha256 of its bytes keys the
-	// memo instead, so an unchanged file is decoded once, not per poll.
-	activeVer, seen := w.memoized(HashBytes(data))
+	// The file is not a sealed image, or it failed to open or verify.
+	// Only its bytes identify it, so the rejection memo is keyed on their
+	// sha256: an unchanged file is rejected once, not once per poll, and
+	// a torn write we raced cannot poison the header hash its finished
+	// file will carry — the next poll after the writer finishes sees a
+	// key the memo does not cover.
+	key := HashBytes(data)
+	activeVer, seen := w.memoized(key)
 	if seen {
 		return nil, Unchanged, nil
 	}
-	cat, rec, err := modelio.Load(bytes.NewReader(data))
-	if err != nil {
-		w.lastRejected, w.lastHashActive = true, activeVer
-		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, w.lastHash, err)
-		return nil, Rejected, fmt.Errorf("load candidate: %w", err)
-	}
-	if w.serving(rec.Sealed().ContentHash(), activeVer) {
-		return nil, Unchanged, nil
-	}
-	return w.submit(cat, rec)
+	w.lastRejected, w.lastHashActive = true, activeVer
+	w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, key, err)
+	return nil, Rejected, fmt.Errorf("load candidate: %w", err)
 }
 
-// checkSealed stages a sealed model file: dedup by the embedded header
-// checksum, then mmap-open and fully verify once per new content hash.
-func (w *Watcher) checkSealed(info os.FileInfo, hash string) (*Snapshot, Outcome, error) {
-	// The header read replaces the whole-file read of the JSON path; the
-	// stat memo carries the same raced-writer caveat, covered the same
-	// way (mtimeSlack re-reads until the tick has safely passed).
-	w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
-
-	activeVer, seen := w.memoized(hash)
-	if seen || w.serving(hash, activeVer) {
-		return nil, Unchanged, nil
-	}
-	cat, rec, err := modelio.OpenSealed(w.path, arena.Options{})
-	if err != nil {
-		// A failed open or checksum may be a torn write we raced: the
-		// finished file would carry this same header hash, so a memo
-		// keyed on it would reject the finished file forever. Re-key the
-		// rejection on the true content bytes; if the writer has since
-		// finished, the next poll sees a hash the memo does not cover.
-		if data, rerr := os.ReadFile(w.path); rerr == nil {
-			w.lastHash = HashBytes(data)
-		} else {
-			w.lastHash = ""
-		}
-		w.lastRejected, w.lastHashActive = true, activeVer
-		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, hash, err)
-		return nil, Rejected, fmt.Errorf("load sealed candidate: %w", err)
-	}
-	return w.submit(cat, rec)
-}
-
-// sealedHeaderHash reads the fixed header prefix and returns the
-// embedded content hash if the file is a sealed model.
-func (w *Watcher) sealedHeaderHash() (string, bool) {
+// headerHash reads the fixed header prefix and returns the embedded
+// content hash, or why the file is not a sealed image.
+func (w *Watcher) headerHash() (string, error) {
 	f, err := os.Open(w.path)
 	if err != nil {
-		return "", false
+		return "", err
 	}
 	defer f.Close()
 	var prefix [arena.HeaderPrefixLen]byte
-	n, _ := f.ReadAt(prefix[:], 0) //lint:allow droppederr -- a short or failed read fails HeaderHash below, which routes to the JSON path's full error handling
-	hash, err := arena.HeaderHash(prefix[:n])
-	if err != nil {
-		// Bad magic: not sealed. Sealed magic with a damaged header: let
-		// the JSON path read and reject it, memoized by content hash.
-		return "", false
-	}
-	return hash, true
+	n, _ := f.ReadAt(prefix[:], 0) //lint:allow droppederr -- a short or failed read fails HeaderHash below, which reports it
+	return arena.HeaderHash(prefix[:n])
 }
 
 // memoized runs the memo for a freshly determined key: the last key
@@ -248,7 +227,7 @@ func (w *Watcher) submit(cat *model.Catalog, rec *core.Recommender) (*Snapshot, 
 func (w *Watcher) Path() string { return w.path }
 
 // HashBytes returns the hex sha256 of data: the watcher's memo key for
-// a JSON model file's bytes, and the content address of shipped
+// the bytes of a file it rejected, and the content address of shipped
 // feedback segments. It is not a model identity; that is the sealed
 // image's embedded digest (Snapshot.Hash, modelio.ContentHash).
 func HashBytes(data []byte) string {

@@ -6,27 +6,16 @@ import (
 	"testing"
 	"time"
 
-	"profitmining/internal/core"
-	"profitmining/internal/model"
 	"profitmining/internal/modelio"
 )
 
-// sealModel renders a recommender into the sealed arena image.
-func sealModel(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
-	t.Helper()
-	data, err := modelio.Seal(cat, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestWatcherStagesSealedModel walks a sealed model file through the
-// watcher lifecycle. The staging identity must be the embedded header
-// checksum — no whole-file hashing pass on the poll path — and
-// corruption must either be rejected or, when the damaged file still
-// claims the serving identity, be ignored while the active snapshot
-// keeps serving.
+// TestWatcherStagesSealedModel pins what the watcher does with a sealed
+// file beyond the lifecycle TestWatcherPromotesAndRejects walks. The
+// staging identity must be the embedded header checksum — no
+// whole-file hashing pass on the poll path — and corruption must either
+// be rejected or, when the damaged file still claims the serving
+// identity, be ignored while the active snapshot keeps serving. A torn
+// write must not poison the hash its finished file carries.
 func TestWatcherStagesSealedModel(t *testing.T) {
 	catA, recA := buildGrocery(t, 800, 3)
 	catB, recB := buildGrocery(t, 1000, 7)
@@ -34,9 +23,6 @@ func TestWatcherStagesSealedModel(t *testing.T) {
 	sealedB := sealModel(t, catB, recB)
 	hashA := modelio.ContentHash(sealedA)
 	hashB := modelio.ContentHash(sealedB)
-	if hashA == hashB {
-		t.Fatal("test models must differ")
-	}
 	if hashA == HashBytes(sealedA) {
 		t.Fatal("sealed content hash should be the header checksum, not the file sha256")
 	}
@@ -64,36 +50,29 @@ func TestWatcherStagesSealedModel(t *testing.T) {
 		t.Fatal("watcher staged a sealed file with build output")
 	}
 
-	// Unchanged file, then an identical rewrite: both cheap no-ops.
-	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
-		t.Fatalf("unchanged check: outcome %v, err %v", outcome, err)
-	}
-	writeFile(t, path, sealedA)
-	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
-		t.Fatalf("identical sealed rewrite: outcome %v, err %v", outcome, err)
-	}
-
-	// New sealed content promotes version 2.
-	writeFile(t, path, sealedB)
-	snap, outcome, err = w.Check()
-	if err != nil || outcome != Promoted {
-		t.Fatalf("sealed swap: outcome %v, err %v", outcome, err)
-	}
-	if snap.Hash != hashB || reg.Active().Version != 2 {
-		t.Fatal("sealed swap did not promote the new content")
-	}
-
-	// A flipped payload byte with an intact header still claims hash B —
+	// A flipped payload byte with an intact header still claims hash A —
 	// the identity already serving — so the watcher must not restage it,
-	// and version 2 keeps serving untouched.
-	tornB := append([]byte(nil), sealedB...)
-	tornB[len(tornB)-10] ^= 0x40
-	writeFile(t, path, tornB)
+	// and version 1 keeps serving untouched.
+	flippedA := append([]byte(nil), sealedA...)
+	flippedA[len(flippedA)-10] ^= 0x40
+	writeFile(t, path, flippedA)
 	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
 		t.Fatalf("payload corruption claiming the active hash: outcome %v, err %v", outcome, err)
 	}
-	if reg.Active().Hash != hashB {
+	if reg.Active().Hash != hashA {
 		t.Fatal("corrupt rewrite disturbed the active snapshot")
+	}
+
+	// A torn write of B: the header is complete and claims hash B, the
+	// body is not. It is rejected; once the writer finishes, the same
+	// header hash must promote rather than hit the rejection memo.
+	writeFile(t, path, sealedB[:len(sealedB)/2])
+	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
+		t.Fatalf("torn sealed write: outcome %v, err %v", outcome, err)
+	}
+	writeFile(t, path, sealedB)
+	if snap, outcome, err := w.Check(); err != nil || outcome != Promoted || snap.Hash != hashB {
+		t.Fatalf("finished write after a torn one: outcome %v, err %v", outcome, err)
 	}
 
 	// A flipped checksum byte presents a new identity that fails Verify:
@@ -119,15 +98,6 @@ func TestWatcherStagesSealedModel(t *testing.T) {
 	}
 	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
 		t.Fatalf("watcher re-opened a remembered bad sealed file: outcome %v, err %v", outcome, err)
-	}
-
-	// Recovery without restart.
-	writeFile(t, path, sealedA)
-	if _, outcome, err := w.Check(); err != nil || outcome != Promoted {
-		t.Fatalf("sealed recovery: outcome %v, err %v", outcome, err)
-	}
-	if reg.Active().Version != 3 || reg.Active().Hash != hashA {
-		t.Fatal("sealed recovery did not promote")
 	}
 }
 

@@ -15,9 +15,20 @@ import (
 	"profitmining/internal/modelio"
 )
 
-// saveModel serializes a recommender the way profitminer -save does and
-// returns the bytes.
-func saveModel(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
+// sealModel returns a recommender's sealed image, the file the watcher
+// loads.
+func sealModel(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
+	t.Helper()
+	data, err := modelio.Seal(cat, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// exportModel returns a recommender's v2 JSON export, as profitminer
+// -save writes it.
+func exportModel(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := modelio.Save(&buf, cat, grocerySpec(), rec); err != nil {
@@ -45,17 +56,15 @@ func writeFile(t *testing.T, path string, data []byte) {
 func TestWatcherPromotesAndRejects(t *testing.T) {
 	catA, recA := buildGrocery(t, 800, 3)
 	catB, recB := buildGrocery(t, 1000, 7)
-	bytesA := saveModel(t, catA, recA)
-	bytesB := saveModel(t, catB, recB)
-	// A v2 file's model is identified by the digest of the image it is
-	// sealed into, the same identity the built model carries.
+	sealedA := sealModel(t, catA, recA)
+	sealedB := sealModel(t, catB, recB)
 	hashA, hashB := recA.Sealed().ContentHash(), recB.Sealed().ContentHash()
 	if hashA == hashB {
 		t.Fatal("test models must differ")
 	}
 
-	path := filepath.Join(t.TempDir(), "model.pmm")
-	writeFile(t, path, bytesA)
+	path := filepath.Join(t.TempDir(), "model.pma")
+	writeFile(t, path, sealedA)
 
 	reg, err := New(Options{})
 	if err != nil {
@@ -82,13 +91,16 @@ func TestWatcherPromotesAndRejects(t *testing.T) {
 
 	// Rewritten with identical content: the stat changes, the hash does
 	// not, so nothing restages.
-	writeFile(t, path, bytesA)
+	writeFile(t, path, sealedA)
 	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
 		t.Fatalf("identical rewrite: outcome %v, err %v", outcome, err)
 	}
 
-	// New content promotes version 2.
-	writeFile(t, path, bytesB)
+	// New content, written over the served file in place, promotes
+	// version 2. The replaced snapshot must still answer from its own
+	// bytes: it was loaded from a copy, not a mapping of the file.
+	first := snap
+	writeFile(t, path, sealedB)
 	snap, outcome, err = w.Check()
 	if err != nil || outcome != Promoted {
 		t.Fatalf("swap check: outcome %v, err %v", outcome, err)
@@ -96,22 +108,36 @@ func TestWatcherPromotesAndRejects(t *testing.T) {
 	if snap.Hash != hashB || reg.Active().Version != 2 {
 		t.Fatal("swap did not promote the new content")
 	}
+	for _, it := range catA.Items() {
+		if it.Target {
+			continue
+		}
+		basket := model.Basket{{Item: it.ID, Promo: catA.Promos(it.ID)[0], Qty: 1}}
+		got, want := first.Rec.RecommendTopK(basket, 3), recA.RecommendTopK(basket, 3)
+		for i := range want {
+			if i >= len(got) || got[i].ID != want[i].ID {
+				t.Fatalf("replaced snapshot answers %v for %s, built model %v", got, it.Name, want)
+			}
+		}
+	}
 
-	// A corrupt file is rejected; version 2 keeps serving, and the next
-	// poll does not re-parse the same bad bytes.
-	writeFile(t, path, []byte(`{"format":"junk"`))
+	// A v2 JSON export is not a sealed image: rejected, version 2 keeps
+	// serving, and the next poll does not reject the same bad bytes
+	// again (the stat here is too fresh to trust, so the byte-hash memo
+	// answers).
+	writeFile(t, path, exportModel(t, catA, recA))
 	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
-		t.Fatalf("corrupt file: outcome %v, err %v", outcome, err)
+		t.Fatalf("v2 export: outcome %v, err %v", outcome, err)
 	}
 	if reg.Active().Hash != hashB {
 		t.Fatal("rejected candidate disturbed the active snapshot")
 	}
 	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
-		t.Fatalf("watcher re-parsed a remembered bad file: outcome %v, err %v", outcome, err)
+		t.Fatalf("watcher re-rejected a remembered bad file: outcome %v, err %v", outcome, err)
 	}
 
 	// Restoring good content recovers without restart.
-	writeFile(t, path, bytesA)
+	writeFile(t, path, sealedA)
 	if _, outcome, err := w.Check(); err != nil || outcome != Promoted {
 		t.Fatalf("recovery: outcome %v, err %v", outcome, err)
 	}
@@ -123,11 +149,11 @@ func TestWatcherPromotesAndRejects(t *testing.T) {
 func TestWatcherRunPromotesWithinPollInterval(t *testing.T) {
 	catA, recA := buildGrocery(t, 800, 3)
 	catB, recB := buildGrocery(t, 1000, 7)
-	bytesA := saveModel(t, catA, recA)
-	bytesB := saveModel(t, catB, recB)
+	sealedA := sealModel(t, catA, recA)
+	sealedB := sealModel(t, catB, recB)
 
-	path := filepath.Join(t.TempDir(), "model.pmm")
-	writeFile(t, path, bytesA)
+	path := filepath.Join(t.TempDir(), "model.pma")
+	writeFile(t, path, sealedA)
 
 	reg, err := New(Options{})
 	if err != nil {
@@ -149,7 +175,7 @@ func TestWatcherRunPromotesWithinPollInterval(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	writeFile(t, path, bytesB)
+	writeFile(t, path, sealedB)
 	want := recB.Sealed().ContentHash()
 	for reg.Active().Hash != want {
 		if time.Now().After(deadline) {
@@ -163,13 +189,14 @@ func TestWatcherRunPromotesWithinPollInterval(t *testing.T) {
 // returns while strict.
 var errGateClosed = errors.New("gate closed")
 
-// TestWatcherSameTickSameSizeRewrite pins the "racily clean" hazard: a
-// rewrite that keeps the size and lands within the same mtime tick as
-// the read that memoized the stat. The stat fast path alone would call
-// the file unchanged; the watcher must keep hashing until the memoized
-// mtime is comfortably in the past.
+// TestWatcherSameTickSameSizeRewrite pins the "racily clean" hazard on
+// the rejection path: a rewrite that keeps the size and lands within the
+// same mtime tick as the read that memoized the stat. The files here are
+// not sealed images, so only their bytes identify them; the stat fast
+// path alone would call the file unchanged, and the watcher must keep
+// reading until the memoized mtime is comfortably in the past.
 func TestWatcherSameTickSameSizeRewrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.pmm")
+	path := filepath.Join(t.TempDir(), "model.pma")
 	junkA := []byte(`{"format":"junkA"}`)
 	junkB := []byte(`{"format":"junkB"}`)
 	if len(junkA) != len(junkB) {
@@ -178,7 +205,6 @@ func TestWatcherSameTickSameSizeRewrite(t *testing.T) {
 	// One fixed timestamp for both writes: a coarse-timestamp filesystem
 	// where the rewrite happens within the tick of the first read.
 	tick := time.Now().Truncate(time.Second)
-
 	writeAt := func(data []byte) {
 		t.Helper()
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -203,8 +229,8 @@ func TestWatcherSameTickSameSizeRewrite(t *testing.T) {
 		t.Fatalf("first junk: outcome %v, err %v", outcome, err)
 	}
 
-	// Same size, same mtime, different bytes. Before the slack check the
-	// stat fast path reported Unchanged and the new content was missed.
+	// Same size, same mtime, different bytes: the byte-hash memo of the
+	// first rejection must not cover the new content.
 	writeAt(junkB)
 	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
 		t.Fatalf("same-tick same-size rewrite missed: outcome %v, err %v", outcome, err)
@@ -219,8 +245,8 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	catA, recA := buildGrocery(t, 800, 3)
 	catB, recB := buildGrocery(t, 1000, 7)
 	catC, recC := buildGrocery(t, 1200, 11)
-	bytesA := saveModel(t, catA, recA)
-	bytesB := saveModel(t, catB, recB)
+	sealedA := sealModel(t, catA, recA)
+	sealedB := sealModel(t, catB, recB)
 
 	var strict atomic.Bool
 	reg, err := New(Options{
@@ -234,20 +260,20 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.pmm")
+	path := filepath.Join(t.TempDir(), "model.pma")
 	w, err := NewWatcher(reg, path, 50*time.Millisecond, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	writeFile(t, path, bytesA)
+	writeFile(t, path, sealedA)
 	if _, outcome, err := w.Check(); err != nil || outcome != Promoted {
 		t.Fatalf("initial model: outcome %v, err %v", outcome, err)
 	}
 
 	// The gate turns strict and rejects candidate B.
 	strict.Store(true)
-	writeFile(t, path, bytesB)
+	writeFile(t, path, sealedB)
 	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
 		t.Fatalf("gated candidate: outcome %v, err %v", outcome, err)
 	}
@@ -270,7 +296,7 @@ func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
 	// The file still holds the once-rejected bytes. With the memo keyed
 	// on hash alone the watcher never retried them; now that the active
 	// version changed they must go through the gate again.
-	writeFile(t, path, bytesB)
+	writeFile(t, path, sealedB)
 	snap, outcome, err := w.Check()
 	if err != nil || outcome != Promoted {
 		t.Fatalf("retry after promotion: outcome %v, err %v", outcome, err)

@@ -189,8 +189,8 @@ func (a *atomicRefresher) onDrift() {
 	}
 }
 
-// saveGrocery serializes a model exactly as every registry surface
-// identifies it.
+// saveGrocery returns a model's v2 JSON export, a structural byte
+// oracle for model equality.
 func saveGrocery(t *testing.T, cat *model.Catalog, rec *core.Recommender) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,7 +20,7 @@ import (
 )
 
 // grocerySpec is the grocery concept hierarchy in serializable form, so
-// models built here survive the model-file round trip the watcher does.
+// models built here can be exported.
 func grocerySpec() *dataio.HierarchySpec {
 	return &dataio.HierarchySpec{
 		Concepts: []dataio.ConceptSpec{
@@ -40,7 +39,8 @@ func grocerySpec() *dataio.HierarchySpec {
 }
 
 // buildGroceryModel trains a grocery recommender over the serializable
-// hierarchy and returns it with its saved-file bytes.
+// hierarchy and returns it with its sealed image, the file the watcher
+// loads.
 func buildGroceryModel(t *testing.T, n int, seed int64) (*model.Catalog, *core.Recommender, []byte) {
 	t.Helper()
 	g := datagen.NewGrocery(n, seed)
@@ -60,11 +60,11 @@ func buildGroceryModel(t *testing.T, n int, seed int64) (*model.Catalog, *core.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := modelio.Save(&buf, g.Dataset.Catalog, grocerySpec(), rec); err != nil {
+	image, err := modelio.Seal(g.Dataset.Catalog, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Dataset.Catalog, rec, buf.Bytes()
+	return g.Dataset.Catalog, rec, image
 }
 
 // writeSeq gives every writeModelFile a strictly increasing mtime so the
@@ -90,9 +90,9 @@ func writeModelFile(t *testing.T, path string, data []byte) {
 func TestAdminReloadLifecycle(t *testing.T) {
 	_, _, bytesA := buildGroceryModel(t, 800, 3)
 	_, recB, bytesB := buildGroceryModel(t, 1000, 7)
-	hashB := recB.Sealed().ContentHash() // the v2 file's model, identified by its image digest
+	hashB := recB.Sealed().ContentHash()
 
-	path := filepath.Join(t.TempDir(), "model.pmm")
+	path := filepath.Join(t.TempDir(), "model.pma")
 	writeModelFile(t, path, bytesA)
 
 	reg, err := registry.New(registry.Options{})

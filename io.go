@@ -46,43 +46,40 @@ func ReadBaskets(r io.Reader, opts BasketOptions) (*Dataset, error) {
 	return dataio.ReadBaskets(r, opts)
 }
 
-// SaveModel persists a built recommender to path. The file is
-// self-contained (catalog, hierarchy, pruned rule tree), so LoadModel
-// needs nothing else to serve recommendations.
+// SaveModel writes a built recommender's v2 JSON export to path: a
+// self-contained structural description (catalog, hierarchy, pruned
+// rule tree with measures) for inspection. Nothing loads it back; write
+// the servable file with SealModel.
 func SaveModel(path string, cat *Catalog, spec *HierarchySpec, rec *Recommender) error {
 	return modelio.SaveFile(path, cat, spec, rec)
 }
 
-// LoadModel restores a recommender saved with SaveModel.
+// LoadModel opens a model file written by SealModel. Anything else,
+// a SaveModel export included, fails.
 func LoadModel(path string) (*Catalog, *Recommender, error) {
 	return modelio.LoadFile(path)
 }
 
-// VerifyModel checks a saved model's format version and payload
-// checksum without restoring it — cheap corruption detection before
-// deploying a file to a serving fleet. A file without a checksum
-// (including the pre-checksum v1 format) fails.
+// VerifyModel checks a sealed model file's structure and whole-file
+// checksum without serving from it — cheap corruption detection before
+// deploying a file to a serving fleet. Anything but a sealed image
+// fails.
 func VerifyModel(path string) error {
 	return modelio.VerifyFile(path)
 }
 
 // SealModel writes the recommender's sealed serving image (modelio
-// format v3) to path: one mmap-able arena file that LoadModel and the serving
-// registry open in O(1) of the model size, with every response blob
-// pre-marshaled. Unlike SaveModel's structural JSON, a sealed file is a
-// deployment artifact — byte-layout, not interchange — and cannot be
-// re-trained from; keep the v2 file (or the dataset) as the source of
-// truth.
+// format v3) to path: one mmap-able arena file that LoadModel,
+// profitserve and the serving registry open in O(1) of the model size,
+// with every response blob pre-marshaled. It is a deployment artifact —
+// byte layout, not interchange — and cannot be re-trained from; keep
+// the dataset as the source of truth.
 func SealModel(path string, cat *Catalog, rec *Recommender) error {
 	return modelio.SealFile(path, cat, rec)
 }
 
-// WriteModel and ReadModel are the stream forms of SaveModel/LoadModel.
+// WriteModel is the stream form of SaveModel: it writes the same v2
+// JSON export.
 func WriteModel(w io.Writer, cat *Catalog, spec *HierarchySpec, rec *Recommender) error {
 	return modelio.Save(w, cat, spec, rec)
-}
-
-// ReadModel restores a recommender from a stream.
-func ReadModel(r io.Reader) (*Catalog, *Recommender, error) {
-	return modelio.Load(r)
 }

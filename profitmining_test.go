@@ -3,6 +3,7 @@ package profitmining_test
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -211,6 +212,8 @@ func TestReadBasketsFacade(t *testing.T) {
 	}
 }
 
+// TestModelStreamFacade: WriteModel streams exactly the export
+// SaveModel writes to a file.
 func TestModelStreamFacade(t *testing.T) {
 	g := profitmining.NewGrocery(200, 3)
 	rec, err := profitmining.Build(g.Dataset, profitmining.Options{MinSupport: 0.05})
@@ -221,12 +224,16 @@ func TestModelStreamFacade(t *testing.T) {
 	if err := profitmining.WriteModel(&buf, g.Dataset.Catalog, nil, rec); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := profitmining.ReadModel(&buf)
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := profitmining.SaveModel(path, g.Dataset.Catalog, nil, rec); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec2.Stats().RulesFinal != rec.Stats().RulesFinal {
-		t.Error("model stream round trip changed the model")
+	if !bytes.Equal(buf.Bytes(), saved) {
+		t.Error("WriteModel and SaveModel wrote different exports")
 	}
 }
 

@@ -2,7 +2,9 @@
 # cluster-smoke: end-to-end proof of the distributed serving tier.
 #
 # Stands up three model-less replicas and a coordinator distributing one
-# model, waits for content-hash sync to converge the fleet, then
+# sealed model, waits for content-hash sync to converge the fleet on the
+# digest embedded in the image's header (computed here, outside the
+# binary, so any hop that re-encoded the image would fail it), then
 # SIGKILLs one replica under live /recommend + /recommend/batch +
 # /outcome load through the coordinator — zero requests may fail, and
 # no basket may degrade to an error, because hedged failover absorbs
@@ -11,13 +13,7 @@
 # outcome (exactly-once accounting) and the fleet must re-agree on the
 # model hash. The coordinator itself is then restarted on its spool
 # directory: /feedback/stats must come back byte-identical, proving the
-# cluster fold is a pure function of the shipped segment set. A final
-# leg stands up a second fleet around the sealed zero-copy image of the
-# same model: the coordinator must distribute it verbatim and every
-# replica must stage it without re-encoding, converging on the content
-# hash embedded in the image's own header — the same hash the first
-# fleet converged on, because a model has one identity whichever file
-# format carried it.
+# cluster fold is a pure function of the shipped segment set.
 set -euo pipefail
 
 COORD_ADDR="127.0.0.1:${SMOKE_CLUSTER_PORT:-18090}"
@@ -57,15 +53,20 @@ wait_healthy() { # wait_healthy <url> <tries>
     return 1
 }
 
-echo "== building a model (both formats) and the server binary"
+echo "== building a sealed model and the server binary"
 go run ./cmd/profitgen -dataset I -txns 4000 -items 80 -out "$workdir/data.pmjl"
-go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.01 \
-    -save "$workdir/model.pmm" -seal "$workdir/model.pma" >/dev/null
+go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.01 -seal "$workdir/model.pma" >/dev/null
 go build -o "$workdir/profitserve" ./cmd/profitserve
+# A sealed model's fleet identity is the checksum embedded in its
+# header — sha256 of everything after the 48-byte header prefix — so
+# the coordinator distributes the image verbatim and every replica
+# stages it without re-encoding or re-hashing.
+sealed_hash=$(tail -c +49 "$workdir/model.pma" | sha256sum | cut -d' ' -f1)
+[ -n "$sealed_hash" ] || fail "could not hash the sealed image"
 
 echo "== starting the coordinator and three model-less replicas"
 "$workdir/profitserve" -role coordinator -addr "$COORD_ADDR" -replicas "$REPLICAS" \
-    -model "$workdir/model.pmm" -spool-dir "$workdir/spool" &
+    -model "$workdir/model.pma" -spool-dir "$workdir/spool" &
 coord_pid=$!
 pids+=("$coord_pid")
 
@@ -88,15 +89,16 @@ for base in "http://$R1_ADDR" "http://$R2_ADDR" "http://$R3_ADDR"; do
 done
 wait_healthy "$COORD" 50 || fail "coordinator never reported a healthy fleet"
 
-echo "== hash agreement: every replica serves the distributed bytes"
+echo "== hash agreement: every replica serves the image's header digest"
 coord_hash=$(curl -sf "$COORD/version" | json_field modelHash)
-[ -n "$coord_hash" ] || fail "coordinator /version has no model hash"
+[ "$coord_hash" = "$sealed_hash" ] \
+    || fail "coordinator distributes $coord_hash, file header says $sealed_hash"
 for base in "http://$R1_ADDR" "http://$R2_ADDR" "http://$R3_ADDR"; do
     h=$(curl -sf "$base/version" | json_field hash)
-    [ "$h" = "$coord_hash" ] || fail "$base serves $h, coordinator distributes $coord_hash"
+    [ "$h" = "$sealed_hash" ] || fail "$base serves $h, sealed image is $sealed_hash"
 done
 curl -sf "$COORD/version" | grep -q '"skew":false' || fail "coordinator reports model skew on a converged fleet"
-echo "   fleet converged on $coord_hash"
+echo "   fleet converged on embedded header checksum $sealed_hash"
 
 echo "== routed traffic works end to end"
 rule_id=$(curl -sf -X POST -H 'Content-Type: application/json' \
@@ -135,7 +137,7 @@ for i in $(seq 1 100); do
 done
 [ -n "$converged" ] || fail "cluster stats never converged to 20 outcomes: $(curl -sf "$COORD/feedback/stats")"
 h=$(curl -sf "http://$R2_ADDR/version" | json_field hash)
-[ "$h" = "$coord_hash" ] || fail "restarted replica re-synced to $h, want $coord_hash"
+[ "$h" = "$sealed_hash" ] || fail "restarted replica re-synced to $h, want $sealed_hash"
 echo "   20/20 outcomes aggregated, hash re-agreed"
 
 echo "== deterministic stats: double-GET and a coordinator restart are byte-identical"
@@ -145,66 +147,16 @@ s2=$(curl -sf "$COORD/feedback/stats")
 kill -TERM "$coord_pid"
 wait "$coord_pid" || fail "coordinator exited nonzero on graceful shutdown"
 "$workdir/profitserve" -role coordinator -addr "$COORD_ADDR" -replicas "$REPLICAS" \
-    -model "$workdir/model.pmm" -spool-dir "$workdir/spool" &
+    -model "$workdir/model.pma" -spool-dir "$workdir/spool" &
 coord_pid=$!
 pids+=("$coord_pid")
 wait_healthy "$COORD" 100 || fail "restarted coordinator never came up"
+h=$(curl -sf "$COORD/version" | json_field modelHash)
+[ "$h" = "$sealed_hash" ] || fail "restarted coordinator distributes $h, want $sealed_hash"
 s3=$(curl -sf "$COORD/feedback/stats")
 [ "$s1" = "$s3" ] || fail "stats changed across a coordinator restart from the same spool:
 before: $s1
 after:  $s3"
 echo "   stats byte-identical across reads and a spool reload"
 
-echo "== sealed model leg: a second fleet distributes the zero-copy image"
-# The fleet identity of a sealed model must be the checksum embedded in
-# its header — sha256 of everything after the 48-byte header prefix —
-# so the coordinator distributes the sealed bytes verbatim and every
-# replica stages them without re-encoding or re-hashing. Computing the
-# expected hash here, outside the binary, pins exactly that: if any hop
-# re-encoded the image, its content hash could not match this one.
-sealed_hash=$(tail -c +49 "$workdir/model.pma" | sha256sum | cut -d' ' -f1)
-[ -n "$sealed_hash" ] || fail "could not hash the sealed image"
-
-S_COORD_ADDR="127.0.0.1:$((${SMOKE_CLUSTER_PORT:-18090} + 10))"
-S_COORD="http://$S_COORD_ADDR"
-S1_ADDR="127.0.0.1:$((${SMOKE_CLUSTER_PORT:-18090} + 11))"
-S2_ADDR="127.0.0.1:$((${SMOKE_CLUSTER_PORT:-18090} + 12))"
-S3_ADDR="127.0.0.1:$((${SMOKE_CLUSTER_PORT:-18090} + 13))"
-
-"$workdir/profitserve" -role coordinator -addr "$S_COORD_ADDR" \
-    -replicas "http://$S1_ADDR,http://$S2_ADDR,http://$S3_ADDR" \
-    -model "$workdir/model.pma" -spool-dir "$workdir/spool-sealed" \
-    >>"$workdir/coord-sealed.log" 2>&1 &
-pids+=("$!")
-s1_pid=$(start_replica "$S1_ADDR" 4 "$S_COORD"); pids+=("$s1_pid")
-s2_pid=$(start_replica "$S2_ADDR" 5 "$S_COORD"); pids+=("$s2_pid")
-s3_pid=$(start_replica "$S3_ADDR" 6 "$S_COORD"); pids+=("$s3_pid")
-
-for base in "http://$S1_ADDR" "http://$S2_ADDR" "http://$S3_ADDR"; do
-    wait_healthy "$base" 100 || fail "replica $base never synced the sealed model"
-done
-wait_healthy "$S_COORD" 50 || fail "sealed coordinator never reported a healthy fleet"
-
-s_coord_hash=$(curl -sf "$S_COORD/version" | json_field modelHash)
-[ "$s_coord_hash" = "$sealed_hash" ] \
-    || fail "sealed coordinator distributes $s_coord_hash, file header says $sealed_hash"
-for base in "http://$S1_ADDR" "http://$S2_ADDR" "http://$S3_ADDR"; do
-    h=$(curl -sf "$base/version" | json_field hash)
-    [ "$h" = "$sealed_hash" ] || fail "$base serves $h, sealed image is $sealed_hash"
-done
-curl -sf "$S_COORD/version" | grep -q '"skew":false' \
-    || fail "sealed coordinator reports model skew on a converged fleet"
-
-# And the sealed fleet actually serves: one routed recommendation.
-curl -sf -X POST -H 'Content-Type: application/json' \
-    -d '{"basket":[{"item":"item-0001","promoIx":0}],"k":1}' "$S_COORD/recommend" \
-    | json_field ruleID | grep -q . || fail "sealed fleet served no recommendation"
-echo "   sealed fleet converged on embedded header checksum $sealed_hash"
-
-# One model, one identity: the fleet that started from model.pmm (v2
-# JSON) serves the same hash as the fleet that started from model.pma.
-[ "$coord_hash" = "$sealed_hash" ] \
-    || fail "the v2 fleet converged on $coord_hash, the sealed fleet on $sealed_hash: one model, two identities"
-echo "   both fleets share the identity $sealed_hash"
-
-echo "cluster-smoke: OK (fleet converged on $coord_hash, kill-one lost nothing, stats replay deterministic, sealed fleet converged on $sealed_hash)"
+echo "cluster-smoke: OK (fleet converged on $sealed_hash, kill-one lost nothing, stats replay deterministic)"

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # serve-smoke: end-to-end proof of the model hot-swap lifecycle.
 #
-# Builds two models from one dataset, starts profitserve -watch on the
-# first, then overwrites the model file and polls GET /version until the
-# new content hash is active (fails on timeout). Along the way it checks
-# that traffic keeps flowing during the swap, that a corrupt candidate
-# is rejected while the old version keeps serving, that the feedback
+# Builds two sealed models from one dataset, starts profitserve -watch
+# on the first, then overwrites the model file and polls GET /version
+# until the new content hash is active (fails on timeout). Along the way
+# it checks that traffic keeps flowing during the swap, that a corrupt
+# candidate and a v2 JSON export (-save output, which nothing loads) are
+# rejected while the old version keeps serving, that the feedback
 # loop accepts outcome reports and accounts for them on
 # /feedback/stats, and that SIGTERM drains cleanly. A second, windowed
 # server then closes the maintenance loop end to end: sustained outcome
@@ -40,16 +41,21 @@ json_field() { # json_field <field> — first string value of "field" on stdin
     grep -o "\"$1\":\"[^\"]*\"" | head -n1 | cut -d'"' -f4
 }
 
-echo "== building two distinct models"
+echo "== building two distinct sealed models (and a v2 export of the first)"
 go run ./cmd/profitgen -dataset I -txns 4000 -items 80 -out "$workdir/data.pmjl"
-go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.01 -save "$workdir/m1.pmm" >/dev/null
-go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.004 -save "$workdir/m2.pmm" >/dev/null
-cmp -s "$workdir/m1.pmm" "$workdir/m2.pmm" && fail "the two models are byte-identical; smoke needs distinct hashes"
+go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.01 \
+    -seal "$workdir/m1.pma" -save "$workdir/m1-export.json" >/dev/null
+go run ./cmd/profitminer -in "$workdir/data.pmjl" -minsup 0.004 -seal "$workdir/m2.pma" >/dev/null
+cmp -s "$workdir/m1.pma" "$workdir/m2.pma" && fail "the two models are byte-identical; smoke needs distinct hashes"
 
 echo "== starting profitserve -watch"
 go build -o "$workdir/profitserve" ./cmd/profitserve
-cp "$workdir/m1.pmm" "$workdir/model.pmm"
-"$workdir/profitserve" -model "$workdir/model.pmm" -watch -poll 250ms -addr "$ADDR" \
+cp "$workdir/m1.pma" "$workdir/model.pma"
+# The rejection legs below expect /admin/reload to be the first to see
+# each bad candidate; a poll that lands between the write and the
+# reload answers it first, and the reload then reports "unchanged". A
+# 1s poll keeps that window small while the swap still promotes fast.
+"$workdir/profitserve" -model "$workdir/model.pma" -watch -poll 1s -addr "$ADDR" \
     -feedback-dir "$workdir/feedback" &
 server_pid=$!
 
@@ -64,7 +70,7 @@ hash1=$(curl -sf "$BASE/version" | json_field hash)
 echo "   serving $hash1"
 
 echo "== swapping the model file on disk"
-cp "$workdir/m2.pmm" "$workdir/model.pmm"
+cp "$workdir/m2.pma" "$workdir/model.pma"
 hash2=""
 for i in $(seq 1 60); do
     # Traffic must keep flowing while the watcher stages and promotes.
@@ -77,11 +83,18 @@ done
 echo "   promoted $hash2"
 
 echo "== corrupt candidate must be rejected with the old version serving"
-echo '{"format":"garbage"' > "$workdir/model.pmm"
+echo '{"format":"garbage"' > "$workdir/model.pma"
 out=$(curl -s -X POST "$BASE/admin/reload")
 echo "$out" | grep -q '"outcome":"rejected"' || fail "corrupt reload not rejected: $out"
 now=$(curl -sf "$BASE/version" | json_field hash)
 [ "$now" = "$hash2" ] || fail "corrupt candidate disturbed serving: $now"
+
+echo "== a v2 JSON export is not a loadable model: rejected, old version serving"
+cp "$workdir/m1-export.json" "$workdir/model.pma"
+out=$(curl -s -X POST "$BASE/admin/reload")
+echo "$out" | grep -q '"outcome":"rejected"' || fail "v2 export reload not rejected: $out"
+now=$(curl -sf "$BASE/version" | json_field hash)
+[ "$now" = "$hash2" ] || fail "v2 export disturbed serving: $now"
 
 echo "== closing the loop: outcome reports land in /feedback/stats"
 rule_id=$(curl -sf "$BASE/rules?limit=1" | json_field id)
@@ -169,4 +182,4 @@ kill -TERM "$server_pid"
 wait "$server_pid" || fail "windowed server exited nonzero on graceful shutdown"
 server_pid=""
 
-echo "serve-smoke: OK (swapped $hash1 -> $hash2, rejection safe, drift refresh promoted $whash2, drain clean)"
+echo "serve-smoke: OK (swapped $hash1 -> $hash2, corrupt and v2-export rejections safe, drift refresh promoted $whash2, drain clean)"

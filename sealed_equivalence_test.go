@@ -12,19 +12,16 @@ import (
 	"testing"
 
 	"profitmining"
-	"profitmining/internal/arena"
 	"profitmining/internal/dataio"
-	"profitmining/internal/modelio"
 	"profitmining/internal/serve"
 )
 
 // TestSealedServingEquivalence is the sealed format's acceptance bar: a
-// model saved as v2 JSON and reloaded (which seals it into a fresh
-// image in memory), and the same model's sealed file mmap-opened, must
-// produce byte-identical /recommend and /recommend/batch responses over
-// a large randomized basket stream — 2000 baskets per seed, three
-// seeds. This pins that the file format a model arrives in changes the
-// cost of loading it, never an answer.
+// model served in process where it was built, and the same model's
+// sealed file opened from disk, must produce byte-identical /recommend
+// and /recommend/batch responses over a large randomized basket stream
+// — 2000 baskets per seed, three seeds. This pins that shipping a model
+// as a file changes the cost of loading it, never an answer.
 func TestSealedServingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed transcript matrix")
@@ -45,7 +42,7 @@ func TestSealedServingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareSealedVsV2(t, ds.Catalog, nil, rec, numBaskets, seed+2)
+			compareBuiltVsSealed(t, ds.Catalog, rec, numBaskets, seed+2)
 		})
 	}
 }
@@ -66,8 +63,7 @@ func TestSealedServingEquivalenceWithHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := dataio.SyntheticHierarchySpec(ds.Catalog, 5)
-	hb, err := spec.Builder(ds.Catalog)
+	hb, err := dataio.SyntheticHierarchySpec(ds.Catalog, 5).Builder(ds.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,40 +75,31 @@ func TestSealedServingEquivalenceWithHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSealedVsV2(t, ds.Catalog, spec, rec, 1000, 7)
+	compareBuiltVsSealed(t, ds.Catalog, rec, 1000, 7)
 }
 
-// compareSealedVsV2 round-trips rec through both formats, serves each
-// behind a real HTTP server, and replays an identical request stream
-// against both, requiring byte-identical response bodies.
-func compareSealedVsV2(t *testing.T, cat *profitmining.Catalog, spec *profitmining.HierarchySpec, rec *profitmining.Recommender, numBaskets int, seed int64) {
+// compareBuiltVsSealed seals rec to a file, serves the built model and
+// the file opened from disk each behind a real HTTP server, and replays
+// an identical request stream against both, requiring byte-identical
+// response bodies.
+func compareBuiltVsSealed(t *testing.T, cat *profitmining.Catalog, rec *profitmining.Recommender, numBaskets int, seed int64) {
 	t.Helper()
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "model.pmm")
-	sealedPath := filepath.Join(dir, "model.pma")
-	if err := profitmining.SaveModel(v2Path, cat, spec, rec); err != nil {
-		t.Fatal(err)
-	}
+	sealedPath := filepath.Join(t.TempDir(), "model.pma")
 	if err := profitmining.SealModel(sealedPath, cat, rec); err != nil {
 		t.Fatal(err)
 	}
-
-	v2Cat, v2Rec, err := profitmining.LoadModel(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sCat, sRec, err := modelio.OpenSealed(sealedPath, arena.Options{})
+	sCat, sRec, err := profitmining.LoadModel(sealedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sRec.Tree() != nil {
-		t.Fatal("OpenSealed returned a recommender with build output")
+		t.Fatal("LoadModel returned a recommender with build output")
 	}
 	defer sRec.Sealed().Arena().Close()
 	t.Logf("sealed model mmap-backed: %v", sRec.Sealed().Arena().Mapped())
 
-	v2Srv := httptest.NewServer(serve.New(v2Cat, v2Rec).Handler())
-	defer v2Srv.Close()
+	builtSrv := httptest.NewServer(serve.New(cat, rec).Handler())
+	defer builtSrv.Close()
 	sSrv := httptest.NewServer(serve.New(sCat, sRec).Handler())
 	defer sSrv.Close()
 
@@ -145,7 +132,7 @@ func compareSealedVsV2(t *testing.T, cat *profitmining.Catalog, spec *profitmini
 			return
 		}
 		body := `{"baskets":[` + strings.Join(batch, ",") + `]}`
-		comparePOST(t, v2Srv.URL, sSrv.URL, "/recommend/batch", body)
+		comparePOST(t, builtSrv.URL, sSrv.URL, "/recommend/batch", body)
 		batch = batch[:0]
 	}
 	for i := 0; i < numBaskets; i++ {
@@ -154,7 +141,7 @@ func compareSealedVsV2(t *testing.T, cat *profitmining.Catalog, spec *profitmini
 		if k := i % 3; k > 0 {
 			body = fmt.Sprintf(`{"basket":%s,"k":%d}`, bk, 2*k+1)
 		}
-		comparePOST(t, v2Srv.URL, sSrv.URL, "/recommend", body)
+		comparePOST(t, builtSrv.URL, sSrv.URL, "/recommend", body)
 		batch = append(batch, fmt.Sprintf(`{"basket":%s,"k":%d}`, bk, 1+i%4))
 		if len(batch) == 100 {
 			flushBatch()
@@ -165,24 +152,24 @@ func compareSealedVsV2(t *testing.T, cat *profitmining.Catalog, spec *profitmini
 
 // comparePOST sends the same request to both servers and requires
 // identical status and byte-identical bodies.
-func comparePOST(t *testing.T, v2URL, sealedURL, path, body string) {
+func comparePOST(t *testing.T, builtURL, sealedURL, path, body string) {
 	t.Helper()
-	v2Status, v2Body := post(t, v2URL+path, body)
+	bStatus, bBody := post(t, builtURL+path, body)
 	sStatus, sBody := post(t, sealedURL+path, body)
-	if v2Status != http.StatusOK || sStatus != http.StatusOK {
-		t.Fatalf("%s: status v2=%d sealed=%d for %.120s", path, v2Status, sStatus, body)
+	if bStatus != http.StatusOK || sStatus != http.StatusOK {
+		t.Fatalf("%s: status built=%d sealed=%d for %.120s", path, bStatus, sStatus, body)
 	}
-	if !bytes.Equal(v2Body, sBody) {
+	if !bytes.Equal(bBody, sBody) {
 		i := 0
-		for i < len(v2Body) && i < len(sBody) && v2Body[i] == sBody[i] {
+		for i < len(bBody) && i < len(sBody) && bBody[i] == sBody[i] {
 			i++
 		}
 		lo := i - 80
 		if lo < 0 {
 			lo = 0
 		}
-		t.Fatalf("%s: sealed response diverges from v2 at byte %d\nrequest: %.200s\nv2:     …%.240s\nsealed: …%.240s",
-			path, i, body, v2Body[lo:], sBody[lo:])
+		t.Fatalf("%s: sealed response diverges from the built model's at byte %d\nrequest: %.200s\nbuilt:  …%.240s\nsealed: …%.240s",
+			path, i, body, bBody[lo:], sBody[lo:])
 	}
 }
 
