@@ -1,11 +1,14 @@
 package mining
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"profitmining/internal/datagen"
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/model"
+	"profitmining/internal/quest"
 )
 
 func TestMineHeadsAreTargetPromosOnly(t *testing.T) {
@@ -68,6 +71,40 @@ func TestMineLevelStats(t *testing.T) {
 	}
 	if res.NumTransactions != 10 || res.MinSupportCount != 2 {
 		t.Errorf("result metadata = %d txns, minsup %d", res.NumTransactions, res.MinSupportCount)
+	}
+}
+
+// TestMineLevelCountsPinned pins the per-level candidate and frequent
+// body counts of three Dataset I inputs to recorded values: the lattice a
+// counting change explores must not move. The inputs cover a dense pair
+// level (200 items), a wide pair level that collapses at level 3 (1,000
+// items at 1%) and a wide level 3 (1,000 items at 0.4%).
+func TestMineLevelCountsPinned(t *testing.T) {
+	cases := []struct {
+		items, txns int
+		minSupport  float64
+		cand, freq  string
+	}{
+		{200, 8000, 0.01, "[1000 361021 241550]", "[852 17032 51011]"},
+		{1000, 8192, 0.01, "[5000 729072 332]", "[1209 269 92]"},
+		{1000, 16384, 0.004, "[5000 4961269 36747]", "[3152 10404 14333]"},
+	}
+	for _, c := range cases {
+		ds, err := datagen.Generate(datagen.DatasetIConfig(quest.Config{NumTransactions: c.txns, NumItems: c.items, Seed: 1}, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := hierarchy.Flat(ds.Catalog, hierarchy.Options{MOA: true})
+		res, err := Mine(space, ds.Transactions, Options{MinSupport: c.minSupport, MaxBodyLen: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.CandidateBodies); got != c.cand {
+			t.Errorf("%d items, %d txns, minsup %g: candidate bodies %s, want %s", c.items, c.txns, c.minSupport, got, c.cand)
+		}
+		if got := fmt.Sprint(res.FrequentBodies); got != c.freq {
+			t.Errorf("%d items, %d txns, minsup %g: frequent bodies %s, want %s", c.items, c.txns, c.minSupport, got, c.freq)
+		}
 	}
 }
 
