@@ -50,14 +50,13 @@ func main() {
 		serveReqs  = flag.Int("servereqs", 200, "batch requests timed for the -servebench latency percentiles")
 		serveOut   = flag.String("serveout", "BENCH_serve.json", "where -servebench writes its JSON report")
 
-		incBench      = flag.Bool("incbench", false, "instead of the figure sweep, benchmark incremental window maintenance against full rebuilds, enforce byte-identity and write a JSON report")
-		incWindow     = flag.Int("incwindow", 16384, "window size for -incbench (shard-aligned windows engage the pass-2 cache)")
-		incSlide      = flag.Int("incslide", 1024, "transactions per slide for -incbench")
-		incSlides     = flag.Int("incslides", 4, "number of slides timed by -incbench")
-		incItems      = flag.Int("incitems", 1000, "number of non-target items for -incbench")
-		incMinsup     = flag.Float64("incminsup", 0.004, "minimum support for -incbench")
-		incMinSpeedup = flag.Float64("incminspeedup", 5, "minimum average speedup -incbench enforces (0 = report only)")
-		incOut        = flag.String("incout", "BENCH_incremental.json", "where -incbench writes its JSON report")
+		incBench  = flag.Bool("incbench", false, "instead of the figure sweep, benchmark incremental window maintenance against full rebuilds, enforce byte-identity and write a JSON report")
+		incWindow = flag.Int("incwindow", 16384, "window size for -incbench")
+		incSlide  = flag.Int("incslide", 1024, "transactions per slide for -incbench")
+		incSlides = flag.Int("incslides", 4, "number of slides timed by -incbench")
+		incItems  = flag.Int("incitems", 1000, "number of non-target items for -incbench")
+		incMinsup = flag.Float64("incminsup", 0.004, "minimum support for -incbench")
+		incOut    = flag.String("incout", "BENCH_incremental.json", "where -incbench writes its JSON report")
 
 		feedBench   = flag.Bool("feedbench", false, "instead of the figure sweep, benchmark the feedback outcome log (append + replay), verify replay reproduces the statistics and write a JSON report")
 		feedRecords = flag.Int("feedrecords", 50000, "outcomes appended by -feedbench")
@@ -117,7 +116,7 @@ func main() {
 		return
 	}
 	if *incBench {
-		runIncBench(names[0], *txns, *incItems, *incMinsup, *maxLen, *seed, *incWindow, *incSlide, *incSlides, *incMinSpeedup, *incOut)
+		runIncBench(names[0], *txns, *incItems, *incMinsup, *maxLen, *seed, *incWindow, *incSlide, *incSlides, *incOut)
 		return
 	}
 	if *feedBench {

@@ -7,11 +7,12 @@ import (
 )
 
 // Incremental is a profit-mining model maintained over a sliding window
-// of transactions. Where Build starts from scratch, an Incremental
-// model absorbs new transactions with Slide — evicting the oldest ones
-// once the window is full — at a cost proportional to the slide, not
-// the window. The maintained model is byte-identical (as saved by
-// WriteModel) to Build over the same window with the same options.
+// of transactions. It absorbs new transactions with Slide — evicting
+// the oldest ones once the window is full — and re-mines and rebuilds
+// the window with the code Build runs, reusing only the expansions of
+// the transactions already in the window. The maintained model is
+// byte-identical (as saved by WriteModel) to Build over the same window
+// with the same options.
 //
 // It is not safe for concurrent use; the serving layer's drift
 // refresher serializes access.
@@ -23,8 +24,8 @@ type Incremental struct {
 // NewIncremental builds the initial model over ds.Transactions, which
 // become the sliding window; the window capacity is the initial length.
 // The options must include a support threshold (MinSupport or
-// MinSupportCount): profit-only pruning cannot be maintained
-// incrementally.
+// MinSupportCount); the windowed model does not take profit-only
+// pruning.
 func NewIncremental(ds *Dataset, opts Options) (*Incremental, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("profitmining: nil dataset")

@@ -79,12 +79,11 @@ type BuildStats struct {
 // It is immutable and safe for concurrent use.
 //
 // Every recommender serves from its sealed arena image (modelio format
-// v3): Build and TreeDelta.Update seal the model where they assemble
-// it, and FromSealed wraps an image opened from disk. A built
-// recommender additionally keeps its build output — space, covering
-// tree and rule lists — for inspection and export (Tree, Rules,
-// Alternates, Report, modelio.Save) and to fill Recommendation.Rule;
-// none of it is on the serving path.
+// v3): Build seals the model where it assembles it, and FromSealed
+// wraps an image opened from disk. A built recommender additionally
+// keeps its build output — space, covering tree and rule lists — for
+// inspection and export (Tree, Rules, Alternates, Report, modelio.Save)
+// and to fill Recommendation.Rule; none of it is on the serving path.
 type Recommender struct {
 	// Build output; all nil for an image opened from disk.
 	space *hierarchy.Space
@@ -235,8 +234,7 @@ func computeAlternates(space *hierarchy.Space, all []*rules.Rule) []*rules.Rule 
 // assemble seals a built covering tree into the image the recommender
 // serves from, keeping the tree and rule lists as build output. final
 // must be collectRules(root) in rank order; alt is the per-item
-// alternate rule list in rank order. It is the common exit of Build and
-// TreeDelta.Update.
+// alternate rule list in rank order. It is the exit of Build.
 func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
 	// NewMatcher always flattens, so both trie views exist.
 	mainView, _ := rules.NewMatcher(final).TrieView()

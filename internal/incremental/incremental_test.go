@@ -90,8 +90,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(space, ds.Transactions, Config{Mining: opts, Capacity: 100}); err == nil {
 		t.Error("initial window exceeding capacity accepted")
 	}
-	// Profit-only pruning filters candidates by a float accumulator,
-	// which cannot be delta-maintained; the stream must refuse it.
+	// The windowed API takes only support mining; the stream must refuse
+	// profit-only pruning.
 	if _, err := New(space, ds.Transactions, Config{Mining: mining.Options{MinRuleProfit: 5}}); err == nil ||
 		!strings.Contains(err.Error(), "support threshold") {
 		t.Errorf("profit-only pruning not rejected: %v", err)
@@ -171,8 +171,11 @@ func TestNewRefresherValidation(t *testing.T) {
 		"empty source":   func(c *RefreshConfig) { c.Source = nil },
 		"zero slide":     func(c *RefreshConfig) { c.Slide = 0 },
 		"huge slide":     func(c *RefreshConfig) { c.Slide = len(ds.Transactions) + 1 },
-		"negative start": func(c *RefreshConfig) { c.Start = -1 },
-		"start past end": func(c *RefreshConfig) { c.Start = len(ds.Transactions) },
+		// Within the source but over the 300-transaction window: every
+		// Refresh would fail after advancing the source position.
+		"slide over capacity": func(c *RefreshConfig) { c.Slide = 350 },
+		"negative start":      func(c *RefreshConfig) { c.Start = -1 },
+		"start past end":      func(c *RefreshConfig) { c.Start = len(ds.Transactions) },
 	} {
 		cfg := ok
 		breakIt(&cfg)

@@ -1,14 +1,13 @@
 // Package incremental maintains a profit-mining model over a sliding
-// transaction window, turning drift recovery into a seconds-scale delta
-// instead of a full retrain.
+// transaction window, so drift recovery refreshes the model from the
+// window it holds instead of retraining from the data source.
 //
-// A Maintainer pairs the two incremental stages — mining.Stream (online
-// per-level support counts, full-window head statistics for frequent
-// bodies only) and core.TreeDelta (dirty-cover repair of the MPF
-// covering tree, cached cut-optimal pruning) — behind one Slide call
-// whose result is byte-identical to a batch mining.Mine + core.Build
-// over the same window. A Refresher wires a Maintainer to the model
-// registry so the feedback collector's OnDrift hook can stage a
+// A Maintainer pairs mining.Stream (the window and its expansions,
+// re-mined on every slide with mining.Mine's loop) and core.TreeDelta
+// (core.Build over the new window) behind one Slide call whose result
+// is byte-identical to a batch mining.Mine + core.Build over the same
+// window: it runs the same code. A Refresher wires a Maintainer to the
+// model registry so the feedback collector's OnDrift hook can stage a
 // refreshed candidate through the usual validate → shadow → promote
 // path.
 package incremental
@@ -35,9 +34,8 @@ type Config struct {
 	Capacity int
 }
 
-// Maintainer holds the incremental mining and tree state for one model
-// over one sliding window. It is not safe for concurrent use (the
-// Refresher serializes access).
+// Maintainer holds one sliding window and the model built over it. It
+// is not safe for concurrent use (the Refresher serializes access).
 type Maintainer struct {
 	space    *hierarchy.Space
 	capacity int

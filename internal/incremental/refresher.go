@@ -60,6 +60,9 @@ func NewRefresher(cfg RefreshConfig) (*Refresher, error) {
 	if cfg.Slide < 1 || cfg.Slide > len(cfg.Source) {
 		return nil, fmt.Errorf("incremental: slide %d outside source of %d", cfg.Slide, len(cfg.Source))
 	}
+	if c := cfg.Maintainer.Capacity(); cfg.Slide > c {
+		return nil, fmt.Errorf("incremental: slide %d exceeds window capacity %d", cfg.Slide, c)
+	}
 	if cfg.Start < 0 || cfg.Start >= len(cfg.Source) {
 		return nil, fmt.Errorf("incremental: start %d outside source of %d", cfg.Start, len(cfg.Source))
 	}

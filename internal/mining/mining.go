@@ -7,16 +7,28 @@
 // Transactions are first expanded to their generalized sales (ancestors in
 // MOA(H)); rule bodies are antichains of generalized non-target sales and
 // are mined level-wise with support-based pruning. Because the number of
-// possible heads is small (target items × promotion codes), each candidate
+// possible heads is small (target items × promotion codes), each frequent
 // body carries a dense per-head accumulator of hits and generated profit
-// p(r, t), so one counting pass per level yields every measure of
-// Definition 5: support, confidence, rule profit and recommendation
-// profit.
+// p(r, t), which yields every measure of Definition 5: support,
+// confidence, rule profit and recommendation profit.
+//
+// Counting is vertical. Each counted singleton has a bitset of the
+// transactions that contain it. Level 1 and level 2 count into dense
+// integer arrays (per generalized sale, then per pair of frequent
+// singletons); level k ≥ 3 counts a candidate by AND + popcount of its
+// prefix's bitset and its last element's. A body's head statistics walk
+// its bitset one par.ShardSize-transaction shard at a time: each shard's
+// partial is summed from zero in transaction order and the partials are
+// added in ascending shard order. Candidates are counted in parallel, but
+// every candidate's float sums stay on one goroutine in that fixed order,
+// so the result does not depend on the worker count.
 package mining
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/model"
@@ -59,16 +71,16 @@ type Options struct {
 	// promotion code (default model.SavingMOA).
 	Quantity model.QuantityModel
 
-	// Parallelism caps the number of worker goroutines used by the
-	// transaction-expansion and level-wise counting passes. 0 (the
-	// default) uses one worker per available CPU; 1 runs strictly
-	// serial. Every setting yields byte-identical results: transactions
-	// are split into fixed-size shards (independent of the worker count)
-	// whose partial counts are merged in ascending shard order, so the
-	// arithmetic — including the order of floating-point profit
-	// additions — never depends on the schedule. When Parallelism != 1,
-	// Quantity must be safe for concurrent use (the built-in models
-	// are: they are stateless).
+	// Parallelism caps the number of worker goroutines used to expand
+	// transactions and to count candidates. 0 (the default) uses one
+	// worker per available CPU; 1 runs strictly serial. Every setting
+	// yields byte-identical results: workers split the candidates, not
+	// the transactions, and each candidate's head statistics are summed
+	// on one goroutine in a fixed order (per par.ShardSize shard in
+	// transaction order, then the shard partials in ascending shard
+	// order), so the floating-point profit additions never depend on the
+	// schedule. When Parallelism != 1, Quantity must be safe for
+	// concurrent use (the built-in models are: they are stateless).
 	Parallelism int
 }
 
@@ -123,7 +135,7 @@ func Mine(space *hierarchy.Space, txns []model.Transaction, opts Options) (*Resu
 		return nil, err
 	}
 	m.prepare(txns)
-	return m.run()
+	return m.run(), nil
 }
 
 // resolveMinCount turns the relative support threshold into an absolute
@@ -142,7 +154,7 @@ func resolveMinCount(opts Options, numTxns int) int {
 
 // newMiner validates the options against a window of numTxns transactions
 // and builds a miner ready for prepare + run. Shared by the batch Mine
-// entry point and the incremental Stream.
+// entry point and the windowed Stream.
 func newMiner(space *hierarchy.Space, opts Options, numTxns int) (*miner, error) {
 	opts = opts.withDefaults()
 	if numTxns == 0 {
@@ -212,10 +224,26 @@ type miner struct {
 	workers int
 
 	txns      []txnData
-	numTxns   int
 	orderNext int
 
+	// The vertical layout of the window, built by run for one mine and
+	// dropped when it returns. bits[g] is the transaction bitset of the
+	// counted singleton g (nil for every other generalized sale), words
+	// the length of every bitset, and withHeads the transactions with at
+	// least one head hit — the only ones head statistics visit.
+	bits      [][]uint64
+	words     int
+	withHeads []uint64
+	scratch   *sync.Pool // of *countScratch sized for this window
+
 	result Result
+}
+
+// countScratch is one counting task's working memory: the AND of a
+// prefix's singleton bitsets and one shard's head partials.
+type countScratch struct {
+	prefix []uint64
+	row    []headStat
 }
 
 // prepare expands every transaction once: its generalized basket and its
@@ -224,7 +252,6 @@ type miner struct {
 // each worker writes only its own txnData slots.
 func (m *miner) prepare(txns []model.Transaction) {
 	m.txns = make([]txnData, len(txns))
-	m.numTxns = len(txns)
 	par.For(m.workers, len(txns), func(i int) {
 		m.expandTxn(&txns[i], &m.txns[i])
 	})
@@ -251,26 +278,35 @@ func (m *miner) expandTxn(t *model.Transaction, td *txnData) {
 	}
 }
 
-func (m *miner) run() (*Result, error) {
-	m.result.NumTransactions = m.numTxns
-	m.result.MinSupportCount = m.minCount
+// run mines the prepared window level by level and returns the result.
+func (m *miner) run() *Result {
+	m.result = Result{NumTransactions: len(m.txns), MinSupportCount: m.minCount}
+	m.orderNext = 0
+	m.words = (len(m.txns) + 63) / 64
+	m.scratch = &sync.Pool{New: func() any {
+		return &countScratch{prefix: make([]uint64, m.words), row: make([]headStat, len(m.heads))}
+	}}
+	defer func() { m.bits, m.withHeads, m.scratch = nil, nil, nil }()
 
 	m.emitDefault()
 
-	// Level 1: every body candidate is a singleton; count directly.
-	level := m.countLevel(m.level1Candidates())
+	frequent := m.level1()
 	for k := 2; ; k++ {
-		frequent := m.filterFrequent(level)
 		m.result.FrequentBodies = append(m.result.FrequentBodies, len(frequent))
 		m.emitRules(frequent)
 		if k > m.opts.MaxBodyLen || len(frequent) < 2 {
 			break
 		}
-		cands, _ := m.generateCandidates(frequent, nil)
-		if len(cands) == 0 {
+		var pairs *pairCounts
+		if k == 2 {
+			pairs = m.countPairs(frequent)
+		}
+		next, candidates := m.extend(frequent, pairs)
+		if candidates == 0 {
 			break
 		}
-		level = m.countLevel(cands)
+		m.result.CandidateBodies = append(m.result.CandidateBodies, candidates)
+		frequent = next
 	}
 
 	// The default rule's order must be after all generated rules so that
@@ -278,60 +314,287 @@ func (m *miner) run() (*Result, error) {
 	// to reserve its statistics. Re-number it last.
 	m.result.Default.Order = m.orderNext
 	m.orderNext++
-	return &m.result, nil
+	res := m.result
+	return &res
 }
 
-// candidate is one body being counted at the current level.
+// candidate is one counted body.
 type candidate struct {
 	items []hierarchy.GenID
 	count int
-	stats []headStat // dense, indexed by head index
-
-	// idx is the candidate's position in the current level's candidate
-	// list; slot is its position among the candidates carrying head
-	// statistics this pass (-1 when it carries none). Both index the
-	// shard accumulation buffers of countLevel.
-	idx  int32
-	slot int32
-
-	// Sliding-window maintenance state (see stream.go); the batch path
-	// leaves all of this zero. freq marks membership in the maintained
-	// frequent border at the candidate's level; touched is the slide
-	// generation that last changed count (deduplicates crossing events).
-	freq    bool
-	touched uint32
-
-	// Cached pass-2 shard partials (see Stream.cachedHeadPass): hist
-	// holds this candidate's head statistics per absolute transaction
-	// shard (touched shards only, ascending); histEnd is the absolute
-	// shard index up to which partials are known (exclusive).
-	hist    []candShard
-	histEnd int32
+	stats []headStat // dense, indexed by head index; nil when no head hit
 }
 
-// candShard is one cached pass-2 shard partial: the head statistics this
-// candidate accumulated over one ShardSize-aligned block of the lifetime
-// transaction stream. Blocks are immutable once the window has passed
-// over them, so a cached row never needs invalidation.
-type candShard struct {
-	shard int32
-	row   []headStat // dense, indexed by head index
+// counted is the smallest body count that can matter: the support
+// threshold, or under profit-only pruning any body with a match (a body
+// never matched has no head statistics to keep it).
+func (m *miner) counted() int {
+	return max(m.minCount, 1)
 }
 
-func (m *miner) level1Candidates() []*candidate {
-	bcs := m.space.BodyCandidates()
-	cands := make([]*candidate, len(bcs))
-	for i, g := range bcs {
-		cands[i] = &candidate{items: []hierarchy.GenID{g}}
+// keep reports whether a counted body can still yield or extend to a
+// rule: body support at least the threshold, or (under profit-only
+// pruning) some head profit at least the threshold.
+func (m *miner) keep(c *candidate) bool {
+	if m.minCount > 0 {
+		return c.count >= m.minCount
 	}
-	return cands
+	// Profit pruning: Prof_ru is anti-monotone in the body when all
+	// profits are non-negative, so the max head profit bounds every
+	// extension.
+	for h := range c.stats {
+		if c.stats[h].profit >= m.opts.MinRuleProfit {
+			return true
+		}
+	}
+	return false
 }
 
-// defaultHeadStats accumulates per-head hits and profit over the whole
-// window — the statistics of the candidate default rules ∅ → g. The scan
-// is strictly serial so the float additions are in transaction order,
-// matching the ascending-shard merge contract of the counting passes.
-func (m *miner) defaultHeadStats() []headStat {
+// level1 counts every body candidate of the space into a dense array
+// indexed by generalized sale, builds the transaction bitsets of the
+// singletons that reach the counted threshold, and returns the frequent
+// singletons in ascending order with their head statistics.
+func (m *miner) level1() []*candidate {
+	bcs := m.space.BodyCandidates()
+	if len(bcs) > 0 {
+		m.result.CandidateBodies = append(m.result.CandidateBodies, len(bcs))
+	}
+	counts := make([]int32, m.space.NumNodes())
+	for i := range m.txns {
+		for _, g := range m.txns[i].items {
+			counts[g]++
+		}
+	}
+	var cands []*candidate
+	for _, g := range bcs {
+		if n := int(counts[g]); n >= m.counted() {
+			cands = append(cands, &candidate{items: []hierarchy.GenID{g}, count: n})
+		}
+	}
+
+	m.bits = make([][]uint64, m.space.NumNodes())
+	store := make([]uint64, len(cands)*m.words)
+	for i, c := range cands {
+		m.bits[c.items[0]] = store[i*m.words : (i+1)*m.words : (i+1)*m.words]
+	}
+	m.withHeads = make([]uint64, m.words)
+	for t := range m.txns {
+		w, bit := t>>6, uint64(1)<<(t&63)
+		if len(m.txns[t].heads) > 0 {
+			m.withHeads[w] |= bit
+		}
+		for _, g := range m.txns[t].items {
+			if b := m.bits[g]; b != nil {
+				b[w] |= bit
+			}
+		}
+	}
+
+	par.For(m.workers, len(cands), func(i int) {
+		sc := m.scratch.Get().(*countScratch)
+		cands[i].stats = m.headStats(m.bits[cands[i].items[0]], nil, sc.row)
+		m.scratch.Put(sc)
+	})
+	frequent := cands[:0]
+	for _, c := range cands {
+		if m.keep(c) {
+			frequent = append(frequent, c)
+		}
+	}
+	return frequent
+}
+
+// pairCounts holds the support of every pair of frequent singletons in
+// a dense upper-triangular array, indexed by the singletons' positions
+// in the frequent list.
+type pairCounts struct {
+	n      int
+	counts []int32
+}
+
+// at returns the count of the pair of frequent singletons i < j.
+func (p *pairCounts) at(i, j int) int {
+	return int(p.counts[i*(2*p.n-i-1)/2+j-i-1])
+}
+
+// countPairs counts every pair of frequent singletons by one walk over
+// the transactions. The counts are integers, so one serial pass is
+// exact; it is a small share of a mine.
+func (m *miner) countPairs(freq1 []*candidate) *pairCounts {
+	n := len(freq1)
+	pos := make([]int32, m.space.NumNodes())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, c := range freq1 {
+		pos[c.items[0]] = int32(i)
+	}
+	p := &pairCounts{n: n, counts: make([]int32, n*(n-1)/2)}
+	var in []int
+	for t := range m.txns {
+		// Items are sorted and frequent positions ascend with GenID, so
+		// in is ascending too.
+		in = in[:0]
+		for _, g := range m.txns[t].items {
+			if i := pos[g]; i >= 0 {
+				in = append(in, int(i))
+			}
+		}
+		for a, i := range in {
+			base := i*(2*n-i-1)/2 - i - 1 // pair (i, j) sits at base+j
+			for _, j := range in[a+1:] {
+				p.counts[base+j]++
+			}
+		}
+	}
+	return p
+}
+
+// extend counts level k+1 from the frequent k-bodies, lexicographically
+// sorted. A candidate joins two frequent k-bodies sharing their first
+// k−1 elements, provided the two last elements are incomparable (bodies
+// are antichains, Definition 4) and every k-subset is frequent (the
+// Apriori condition, checked against a trie of the frequent bodies). At
+// level 2 counts come from pairs; deeper, from AND + popcount of the
+// prefix's bitset and the last element's. Candidates reaching the
+// counted threshold get head statistics. Workers split the frequent
+// prefixes; each prefix's candidates are counted on one goroutine and
+// the groups are concatenated in prefix order, so the frequent (k+1)-
+// bodies come back in lexicographic order, with the number of
+// candidates counted.
+func (m *miner) extend(frequent []*candidate, pairs *pairCounts) ([]*candidate, int) {
+	k := len(frequent[0].items)
+	var freqTrie *trieNode
+	if k >= 2 {
+		freqTrie = buildBodyTrie(frequent) // for the subset checks
+	}
+	type group struct {
+		candidates int
+		frequent   []*candidate
+	}
+	groups := make([]group, len(frequent))
+	par.For(m.workers, len(frequent), func(i int) {
+		sc := m.scratch.Get().(*countScratch)
+		g := &groups[i]
+		g.candidates, g.frequent = m.extendPrefix(frequent, i, freqTrie, pairs, sc)
+		m.scratch.Put(sc)
+	})
+	var next []*candidate
+	candidates := 0
+	for _, g := range groups {
+		candidates += g.candidates
+		next = append(next, g.frequent...)
+	}
+	return next, candidates
+}
+
+// extendPrefix counts the candidates joining frequent[i] with a later
+// frequent body of the same (k−1)-prefix.
+func (m *miner) extendPrefix(frequent []*candidate, i int, freqTrie *trieNode, pairs *pairCounts, sc *countScratch) (int, []*candidate) {
+	a := frequent[i]
+	k := len(a.items)
+	prefix := m.bits[a.items[0]]
+	if k > 1 {
+		prefix = sc.prefix
+		copy(prefix, m.bits[a.items[0]])
+		for _, g := range a.items[1:] {
+			b := m.bits[g]
+			for w := range prefix {
+				prefix[w] &= b[w]
+			}
+		}
+	}
+	join := make([]hierarchy.GenID, k+1) // scratch: the joined body
+	sub := make([]hierarchy.GenID, k)    // scratch: one subset of it
+	copy(join, a.items)
+
+	candidates := 0
+	var out []*candidate
+	for j := i + 1; j < len(frequent); j++ {
+		b := frequent[j]
+		if !samePrefix(a.items, b.items, k-1) {
+			break // frequent is lexicographically sorted
+		}
+		x, y := a.items[k-1], b.items[k-1]
+		// x < y by lexicographic order of the frequent list.
+		if m.space.Comparable(x, y) {
+			continue // bodies must be antichains (Definition 4)
+		}
+		join[k] = y
+		if k >= 2 && !m.allSubsetsFrequent(join, sub, freqTrie) {
+			continue
+		}
+		candidates++
+		last := m.bits[y]
+		var count int
+		if pairs != nil {
+			count = pairs.at(i, j)
+		} else {
+			for w, x := range prefix {
+				count += bits.OnesCount64(x & last[w])
+			}
+		}
+		if count < m.counted() {
+			continue
+		}
+		c := &candidate{count: count, stats: m.headStats(prefix, last, sc.row)}
+		if !m.keep(c) {
+			continue
+		}
+		c.items = append([]hierarchy.GenID(nil), join...)
+		out = append(out, c)
+	}
+	return candidates, out
+}
+
+// shardWords is the number of bitset words per counting shard.
+const shardWords = par.ShardSize / 64
+
+// headStats returns the per-head hits and profit of the body whose
+// transactions are body AND last (last nil: body alone), or nil when no
+// such transaction has a head hit. The sum order is fixed: each
+// par.ShardSize shard accumulates its partial from zero in transaction
+// order, and a shard with at least one hit adds its whole partial row in
+// ascending shard order. row is zeroed scratch of one entry per head,
+// and is left zeroed.
+func (m *miner) headStats(body, last []uint64, row []headStat) []headStat {
+	var stats []headStat
+	for lo := 0; lo < m.words; lo += shardWords {
+		hi := min(lo+shardWords, m.words)
+		hit := false
+		for w := lo; w < hi; w++ {
+			x := body[w] & m.withHeads[w]
+			if last != nil {
+				x &= last[w]
+			}
+			for ; x != 0; x &= x - 1 {
+				td := &m.txns[w<<6|bits.TrailingZeros64(x)]
+				for j, h := range td.heads {
+					row[h].hits++
+					row[h].profit += td.headProfit[j]
+				}
+				hit = true
+			}
+		}
+		if !hit {
+			continue
+		}
+		if stats == nil {
+			stats = make([]headStat, len(row))
+		}
+		for h := range row {
+			stats[h].hits += row[h].hits
+			stats[h].profit += row[h].profit
+			row[h] = headStat{}
+		}
+	}
+	return stats
+}
+
+// emitDefault computes the default rule ∅ → g maximizing Prof_re over all
+// heads (body matches every transaction), breaking profit ties by hits.
+// Its statistics sum serially, in transaction order.
+func (m *miner) emitDefault() {
 	stats := make([]headStat, len(m.heads))
 	for i := range m.txns {
 		td := &m.txns[i]
@@ -340,11 +603,6 @@ func (m *miner) defaultHeadStats() []headStat {
 			stats[h].profit += td.headProfit[j]
 		}
 	}
-	return stats
-}
-
-// bestDefaultHead picks the head maximizing profit, breaking ties by hits.
-func bestDefaultHead(stats []headStat) int {
 	best := 0
 	for h := 1; h < len(stats); h++ {
 		if stats[h].profit > stats[best].profit ||
@@ -353,17 +611,9 @@ func bestDefaultHead(stats []headStat) int {
 			best = h
 		}
 	}
-	return best
-}
-
-// emitDefault computes the default rule ∅ → g maximizing Prof_re over all
-// heads (body matches every transaction).
-func (m *miner) emitDefault() {
-	stats := m.defaultHeadStats()
-	best := bestDefaultHead(stats)
 	m.result.Default = &rules.Rule{
 		Head:      m.heads[best],
-		BodyCount: m.numTxns,
+		BodyCount: len(m.txns),
 		HitCount:  int(stats[best].hits),
 		Profit:    stats[best].profit,
 		Order:     m.orderNext,
@@ -371,90 +621,17 @@ func (m *miner) emitDefault() {
 	m.orderNext++
 }
 
-// trieNode is a node of the candidate prefix trie used for counting.
-// Children are sorted by item.
+// trieNode is a node of the prefix trie of a level's frequent bodies,
+// which the Apriori subset check searches. Children are sorted by item.
 type trieNode struct {
 	item     hierarchy.GenID
 	children []*trieNode
 	cand     *candidate
 }
 
-// countBuf accumulates one transaction shard's contribution to a
-// counting pass. counts is dense over the pass's index space (candidate
-// index for the body and single-pass variants, stat slot for the head
-// pass); stats, when present, is the flattened slot-major head
-// statistics (slot*stride + head). touched records the indices with a
-// nonzero count in first-touch order, so merging and clearing cost is
-// proportional to what the shard actually matched, not to the candidate
-// count — with millions of speculative candidates at low supports, a
-// dense per-shard merge would dwarf the counting itself.
-type countBuf struct {
-	counts  []int
-	stats   []headStat
-	stride  int
-	touched []int32
-}
-
-func newCountBuf(n, stride int, withStats bool) *countBuf {
-	b := &countBuf{counts: make([]int, n), stride: stride}
-	if withStats {
-		b.stats = make([]headStat, n*stride)
-	}
-	return b
-}
-
-// touch registers index i, returning its (shared) shard count cell.
-func (b *countBuf) touch(i int32) *int {
-	if b.counts[i] == 0 {
-		b.touched = append(b.touched, i)
-	}
-	return &b.counts[i]
-}
-
-// bufPool recycles shard buffers across shards of one counting pass. At
-// most ~2×workers shards are in flight at once (par.Ordered bounds the
-// reorder window), so the pool — and peak buffer memory — stays bounded.
-type bufPool struct {
-	ch     chan *countBuf
-	n      int
-	stride int
-	stats  bool
-}
-
-func newBufPool(workers, n, stride int, withStats bool) *bufPool {
-	return &bufPool{ch: make(chan *countBuf, 2*workers+1), n: n, stride: stride, stats: withStats}
-}
-
-func (p *bufPool) get() *countBuf {
-	select {
-	case b := <-p.ch:
-		return b
-	default:
-		return newCountBuf(p.n, p.stride, p.stats)
-	}
-}
-
-// put clears the buffer's touched entries and returns it to the pool.
-func (p *bufPool) put(b *countBuf) {
-	for _, i := range b.touched {
-		b.counts[i] = 0
-		if b.stats != nil {
-			row := b.stats[int(i)*b.stride : (int(i)+1)*b.stride]
-			for j := range row {
-				row[j] = headStat{}
-			}
-		}
-	}
-	b.touched = b.touched[:0]
-	select {
-	case p.ch <- b:
-	default:
-	}
-}
-
-// buildBodyTrie builds the candidate prefix trie for one counting pass.
-// Candidates must be in lexicographic order of their items, so the trie
-// can be built by sequential insertion.
+// buildBodyTrie builds the prefix trie of a list of bodies. They must be
+// in lexicographic order of their items, so the trie can be built by
+// sequential insertion.
 func buildBodyTrie(cands []*candidate) *trieNode {
 	root := &trieNode{}
 	for _, c := range cands {
@@ -472,255 +649,6 @@ func buildBodyTrie(cands []*candidate) *trieNode {
 		node.cand = c
 	}
 	return root
-}
-
-// countBodiesPass is pass 1 of support counting: body match counts only
-// (pure integers), added into each candidate's count in ascending shard
-// order. It assigns candidate indexes, so cands must be exactly the
-// candidates reachable from root.
-func (m *miner) countBodiesPass(cands []*candidate, root *trieNode) {
-	for i, c := range cands {
-		c.idx = int32(i)
-	}
-	pool := newBufPool(m.workers, len(cands), 0, false)
-	par.Ordered(m.workers, len(m.txns),
-		func(_, _, lo, hi int) *countBuf {
-			buf := pool.get()
-			for i := lo; i < hi; i++ {
-				if items := m.txns[i].items; len(items) > 0 {
-					countBodies(root.children, items, buf)
-				}
-			}
-			return buf
-		},
-		func(_ int, buf *countBuf) {
-			for _, ci := range buf.touched {
-				cands[ci].count += buf.counts[ci]
-			}
-			pool.put(buf)
-		})
-}
-
-// countLevel counts body matches and per-head hits for all candidates of
-// one level. Under support mining it makes two passes over the
-// transactions: the first counts body matches only, and per-head
-// accumulators are then allocated for frequent bodies alone — with
-// millions of speculative candidates at low supports, allocating head
-// statistics per candidate dominated the build profile. Under profit-only
-// pruning there is no frequency filter, so a single pass accumulates
-// everything.
-//
-// Each pass shards the transactions across the worker pool; every shard
-// accumulates into its own countBuf and the partials are merged into the
-// candidates in ascending shard order (par.Ordered), so counts — and the
-// order of floating-point profit additions — are byte-identical to the
-// strictly serial run for any worker count.
-func (m *miner) countLevel(cands []*candidate) []*candidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	m.result.CandidateBodies = append(m.result.CandidateBodies, len(cands))
-	for i, c := range cands {
-		c.idx = int32(i)
-		c.slot = -1
-	}
-
-	root := buildBodyTrie(cands)
-
-	if m.minCount > 0 {
-		// Pass 1: body counts only (pure integers).
-		m.countBodiesPass(cands, root)
-
-		// Pass 2: head statistics for the frequent bodies alone. The stat
-		// slices themselves are allocated lazily by the merge, only for
-		// bodies with at least one hit — most frequent bodies never co-occur
-		// with a target and zeroing their slices dominated the pass.
-		var bySlot []*candidate
-		for _, c := range cands {
-			if c.count >= m.minCount {
-				c.slot = int32(len(bySlot))
-				bySlot = append(bySlot, c)
-			}
-		}
-		if len(bySlot) == 0 {
-			return cands
-		}
-		// The head pass only visits candidates carrying a stat slot, so it
-		// walks a trie over those alone — orders of magnitude smaller than
-		// the full candidate trie at low supports. The accumulation order
-		// (within-shard transaction order, then ascending shard order) does
-		// not depend on the trie shape, so the statistics stay byte-identical.
-		m.countPass(cands, bySlot, buildBodyTrie(bySlot), countHeads)
-		return cands
-	}
-
-	// Profit-only pruning: one pass counting bodies and heads together,
-	// with a stat slot per candidate.
-	m.countPass(cands, cands, root, countAll)
-	return cands
-}
-
-// countPass runs one sharded head-statistics pass. bySlot lists the
-// candidates carrying statistics, indexed by their slot; walk is the trie
-// walk accumulating a single transaction into the shard buffer.
-func (m *miner) countPass(cands, bySlot []*candidate, root *trieNode, walk func(nodes []*trieNode, xs []hierarchy.GenID, td *txnData, buf *countBuf)) {
-	pool := newBufPool(m.workers, len(bySlot), len(m.heads), true)
-	par.Ordered(m.workers, len(m.txns),
-		func(_, _, lo, hi int) *countBuf {
-			buf := pool.get()
-			for i := lo; i < hi; i++ {
-				td := &m.txns[i]
-				if len(td.items) > 0 {
-					walk(root.children, td.items, td, buf)
-				}
-			}
-			return buf
-		},
-		func(_ int, buf *countBuf) {
-			for _, slot := range buf.touched {
-				c := bySlot[slot]
-				row := buf.stats[int(slot)*buf.stride : (int(slot)+1)*buf.stride]
-				anyHits := false
-				for _, s := range row {
-					if s.hits > 0 {
-						anyHits = true
-						break
-					}
-				}
-				if c.slot < 0 { // countAll: counts[idx] is the body count
-					c.count += buf.counts[slot]
-				}
-				if anyHits {
-					if c.stats == nil {
-						c.stats = make([]headStat, len(m.heads))
-					}
-					for h, s := range row {
-						c.stats[h].hits += s.hits
-						c.stats[h].profit += s.profit
-					}
-				}
-			}
-			pool.put(buf)
-		})
-}
-
-// countBodies is the body-count pass: it advances two sorted sequences
-// (trie children and transaction items) and increments matched
-// candidates in the shard buffer.
-func countBodies(nodes []*trieNode, xs []hierarchy.GenID, buf *countBuf) {
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			if node.cand != nil {
-				*buf.touch(node.cand.idx)++
-			}
-			if len(node.children) > 0 {
-				countBodies(node.children, xs[xi+1:], buf)
-			}
-			ni++
-			xi++
-		}
-	}
-}
-
-// countHeads is the head pass: it accumulates hits and profit for
-// candidates that survived the frequency filter (slot assigned).
-func countHeads(nodes []*trieNode, xs []hierarchy.GenID, td *txnData, buf *countBuf) {
-	if len(td.heads) == 0 {
-		return
-	}
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			if c := node.cand; c != nil && c.slot >= 0 {
-				*buf.touch(c.slot)++
-				base := int(c.slot) * buf.stride
-				for j, h := range td.heads {
-					s := &buf.stats[base+int(h)]
-					s.hits++
-					s.profit += td.headProfit[j]
-				}
-			}
-			if len(node.children) > 0 {
-				countHeads(node.children, xs[xi+1:], td, buf)
-			}
-			ni++
-			xi++
-		}
-	}
-}
-
-// countAll is the single-pass variant for profit-only pruning: every
-// candidate uses its own index as stat slot, and the shard count doubles
-// as the body count.
-func countAll(nodes []*trieNode, xs []hierarchy.GenID, td *txnData, buf *countBuf) {
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			if c := node.cand; c != nil {
-				*buf.touch(c.idx)++
-				if len(td.heads) > 0 {
-					base := int(c.idx) * buf.stride
-					for j, h := range td.heads {
-						s := &buf.stats[base+int(h)]
-						s.hits++
-						s.profit += td.headProfit[j]
-					}
-				}
-			}
-			if len(node.children) > 0 {
-				countAll(node.children, xs[xi+1:], td, buf)
-			}
-			ni++
-			xi++
-		}
-	}
-}
-
-// filterFrequent keeps candidates that can still yield or extend to a
-// rule: body support at least the threshold, or (under profit-only
-// pruning) some head profit at least the threshold.
-func (m *miner) filterFrequent(cands []*candidate) []*candidate {
-	var out []*candidate
-	for _, c := range cands {
-		if m.minCount > 0 {
-			if c.count >= m.minCount {
-				out = append(out, c)
-			}
-			continue
-		}
-		// Profit pruning: Prof_ru is anti-monotone in the body when all
-		// profits are non-negative, so the max head profit bounds every
-		// extension.
-		if c.stats == nil {
-			continue
-		}
-		for h := range c.stats {
-			if c.stats[h].profit >= m.opts.MinRuleProfit {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // emitRules converts a frequent body's per-head statistics into rules.
@@ -756,63 +684,6 @@ func (m *miner) emitRules(frequent []*candidate) {
 			m.orderNext++
 		}
 	}
-}
-
-// generateCandidates joins frequent k-bodies sharing a (k−1)-prefix into
-// (k+1)-candidates, enforcing the antichain constraint on the new pair and
-// the Apriori condition that every k-subset is frequent (checked against a
-// trie of the frequent bodies — no per-candidate key material).
-//
-// monitored, when non-nil, is a persistent trie of previously counted
-// candidates at the target level (see Stream): a generated body already in
-// it is adopted — its existing *candidate, count and all, is emitted
-// instead of a fresh allocation. fresh lists the candidates not adopted
-// (all of out when monitored is nil), in lexicographic order; they are the
-// ones still needing a body count.
-func (m *miner) generateCandidates(frequent []*candidate, monitored *trieNode) (out, fresh []*candidate) {
-	k := len(frequent[0].items)
-	var freqTrie *trieNode
-	if k >= 2 {
-		freqTrie = buildBodyTrie(frequent) // for the subset checks
-	}
-	join := make([]hierarchy.GenID, k+1) // scratch: the joined body
-	sub := make([]hierarchy.GenID, k)    // scratch: one subset of it
-
-	for i := 0; i < len(frequent); i++ {
-		a := frequent[i]
-		var prefix *trieNode
-		if monitored != nil {
-			prefix = descend(monitored, a.items)
-		}
-		copy(join, a.items)
-		for j := i + 1; j < len(frequent); j++ {
-			b := frequent[j]
-			if !samePrefix(a.items, b.items, k-1) {
-				break // frequent is lexicographically sorted
-			}
-			x, y := a.items[k-1], b.items[k-1]
-			// x < y by lexicographic order of the frequent list.
-			if m.space.Comparable(x, y) {
-				continue // bodies must be antichains (Definition 4)
-			}
-			join[k] = y
-			if k >= 2 && !m.allSubsetsFrequent(join, sub, freqTrie) {
-				continue
-			}
-			if prefix != nil {
-				if node := findChild(prefix.children, y); node != nil && node.cand != nil {
-					out = append(out, node.cand)
-					continue
-				}
-			}
-			items := make([]hierarchy.GenID, k+1)
-			copy(items, join)
-			c := &candidate{items: items}
-			out = append(out, c)
-			fresh = append(fresh, c)
-		}
-	}
-	return out, fresh
 }
 
 // allSubsetsFrequent checks the Apriori condition for the subsets that

@@ -457,9 +457,13 @@ func naiveMine(space *hierarchy.Space, txns []model.Transaction, minCount, maxLe
 	return out
 }
 
+// TestMineAgainstNaiveReference checks Mine against brute force. The
+// first 20 trials are a few transactions each; the last 4 hold
+// 2,100–3,100, so they span three or four counting shards and end on a
+// partial bitset word.
 func TestMineAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 24; trial++ {
 		moa := trial%2 == 0
 		f := newFixture(t, moa)
 		promos := []model.PromoID{f.a1, f.a2, f.b1, f.c1}
@@ -467,6 +471,9 @@ func TestMineAgainstNaiveReference(t *testing.T) {
 
 		var txns []model.Transaction
 		n := 5 + rng.Intn(20)
+		if trial >= 20 {
+			n = 2100 + rng.Intn(1001)
+		}
 		for i := 0; i < n; i++ {
 			var nt []model.PromoID
 			for _, p := range promos {
@@ -480,6 +487,9 @@ func TestMineAgainstNaiveReference(t *testing.T) {
 			txns = append(txns, f.txn(targets[rng.Intn(2)], float64(1+rng.Intn(3)), nt...))
 		}
 		minCount := 1 + rng.Intn(3)
+		if trial >= 20 {
+			minCount = 1 + rng.Intn(n/4) // prunes some bodies and heads
+		}
 
 		res, err := Mine(f.space, txns, Options{MinSupportCount: minCount, MaxBodyLen: 3})
 		if err != nil {

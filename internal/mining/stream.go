@@ -1,144 +1,38 @@
-// Incremental (sliding-window) rule generation. A Stream keeps the
-// level-wise mining state of a transaction window alive between updates
-// so that sliding the window — evicting the oldest transactions and
-// appending new ones — costs work proportional to the slide, not to the
-// window.
-//
-// What is delta-maintained and what is recomputed follows directly from
-// the determinism contract of the counting passes (see Options.Parallelism):
-//
-//   - Body support counts are integers, and integer addition is
-//     order-independent, so they are maintained online: each monitored
-//     candidate's count is adjusted by walking only the entering and
-//     leaving transactions against the candidate trie. This skips the
-//     pass-1 sweep over the whole window — the dominant cost of a batch
-//     run at low support thresholds.
-//
-//   - Per-head profit accumulators are floats, and the batch contract
-//     fixes their addition order (within-shard transaction order, then
-//     ascending shard order). A float sum cannot be slid: removing the
-//     oldest summands and appending new ones changes where every
-//     surviving transaction falls relative to the shard grid — unless
-//     the window stays aligned to that grid. When both the window start
-//     and the window length are multiples of par.ShardSize, every shard
-//     of the batch pass covers a fixed block of the lifetime transaction
-//     stream, whose per-candidate partial sums never change once
-//     computed. cachedStatPass exploits this: it caches each frequent
-//     candidate's per-shard head statistics and re-derives pass 2 by
-//     replaying the cached rows in ascending shard order — the exact
-//     batch merge order — recomputing only shards not yet covered.
-//     Unaligned windows fall back to the plain sharded pass (the cache
-//     is left intact; cached rows never go stale, because the blocks
-//     they cover are immutable).
-//
-// The candidate lattice itself is not regenerated wholesale either. The
-// pair level — at low supports by far the widest join — is maintained
-// event-driven: the set of generated pairs is determined by the frequent
-// singletons alone (every antichain pair of frequent singletons), so its
-// frequent subset can only change through a count crossing the threshold
-// (observed directly by the delta walks) or a singleton entering or
-// leaving the frequent set (observed by diffing the singleton border).
-// maintainBorder processes exactly those events. Deeper levels are
-// regenerated from the maintained pair border with the same level-wise
-// join the batch run uses — they are orders of magnitude narrower.
-// Counts are carried across slides by a persistent per-level trie that
-// only ever grows: every candidate ever monitored stays in it and
-// receives every subsequent delta, so its count is correct for the
-// current window whenever it re-enters the lattice — even after
-// dropping out for a few slides. Only candidates never seen before are
-// counted over the full window.
 package mining
 
 import (
 	"fmt"
-	"sort"
 
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/model"
 	"profitmining/internal/par"
-	"profitmining/internal/rules"
 )
 
-// Stream is an incrementally maintained miner over a sliding window of
-// transactions. It is not safe for concurrent use.
+// Stream mines a sliding window of transactions. It keeps the window —
+// the raw transactions and their expansions, each entering transaction
+// expanded once — and every Slide re-mines the whole window with Mine's
+// level-wise loop, so a slide's Result equals Mine over the same window
+// with the same options by construction. It is not safe for concurrent
+// use.
 type Stream struct {
 	m   *miner
 	raw []model.Transaction // current window, oldest first
-
-	// level1 holds the (static) singleton candidates; monitored holds
-	// the candidate state of levels ≥ 2 from the latest mine (index 0 is
-	// level 2). All counts live in persistent tries and are maintained
-	// across slides.
-	level1     []*candidate
-	level1Trie *trieNode
-	monitored  []streamLevel
-	counted    bool // level-1 pass 1 has run
-
-	// evicted is the total number of transactions ever evicted — the
-	// absolute offset of the window start in the lifetime stream, which
-	// decides whether the window is aligned to the shard grid (see
-	// cachedStatPass).
-	evicted int
-
-	// Event-driven pair-border state (see maintainBorder). When borderOK,
-	// freq1/freq2 are the current frequent singletons and pairs (each
-	// candidate's freq flag mirrors membership), gen2 is the size of the
-	// implicit pair candidate set, and touched2 collects the pairs whose
-	// count changed during the latest slide's delta walks. minCountPrev
-	// guards against threshold changes, which re-frame every crossing.
-	borderOK     bool
-	minCountPrev int
-	freq1        []*candidate // frequent singletons, in level-1 order
-	freq2        []*candidate // frequent pairs, lexicographic
-	gen2         int
-	touched2     []*candidate
-	slideGen     uint32
-
-	// Rule identity across slides: a rule whose body, head, statistics
-	// and emission order are all unchanged is re-emitted as the same
-	// pointer, so downstream layers can detect unchanged rules by
-	// pointer equality.
-	prevRules   map[string]*rules.Rule
-	prevDefault *rules.Rule
-
 	res *Result
 }
 
-// streamLevel is one monitored candidate level (k ≥ 2). cands is the
-// current slide's candidate list (nil for the event-maintained pair
-// level, whose lattice is implicit); trie is the persistent superset
-// trie holding every candidate ever monitored at this level. A candidate
-// may sit in the trie without being frequent; the delta walks keep
-// updating it, so its count is valid again the moment it re-enters the
-// lattice.
-type streamLevel struct {
-	cands []*candidate // lexicographic order
-	trie  *trieNode
-}
-
 // NewStream mines the initial window and returns a Stream positioned on
-// it. The options must resolve to a positive support threshold:
-// profit-only pruning filters candidates by a float accumulator, which
-// cannot be delta-maintained (see the package comment on stream
-// maintenance), so it is rejected here.
+// it. The options must resolve to a positive support threshold; the
+// windowed API does not take profit-only pruning.
 func NewStream(space *hierarchy.Space, txns []model.Transaction, opts Options) (*Stream, error) {
 	m, err := newMiner(space, opts, len(txns))
 	if err != nil {
 		return nil, err
 	}
 	if m.profitPruning {
-		return nil, fmt.Errorf("mining: incremental maintenance requires a support threshold (profit-only pruning cannot be delta-maintained)")
+		return nil, fmt.Errorf("mining: windowed mining requires a support threshold (got profit-only pruning)")
 	}
 	m.prepare(txns)
-	s := &Stream{
-		m:         m,
-		raw:       append([]model.Transaction(nil), txns...),
-		level1:    m.level1Candidates(),
-		prevRules: map[string]*rules.Rule{},
-	}
-	s.level1Trie = buildBodyTrie(s.level1)
-	s.mine()
-	return s, nil
+	return &Stream{m: m, raw: append([]model.Transaction(nil), txns...), res: m.run()}, nil
 }
 
 // Slide evicts the oldest evict transactions, appends enter, and re-mines
@@ -155,23 +49,6 @@ func (s *Stream) Slide(enter []model.Transaction, evict int) (*Result, error) {
 	if nw == 0 {
 		return nil, fmt.Errorf("mining: slide would empty the window")
 	}
-	s.slideGen++
-
-	// Retire the evicted transactions from every maintained count while
-	// their expansions are still at hand. The pair level's walk collects
-	// count-crossing events for maintainBorder.
-	for i := 0; i < evict; i++ {
-		if items := m.txns[i].items; len(items) > 0 {
-			deltaCount(s.level1Trie.children, items, -1)
-			for j := range s.monitored {
-				if j == 0 && s.borderOK {
-					s.deltaTouch(s.monitored[j].trie.children, items, -1)
-				} else {
-					deltaCount(s.monitored[j].trie.children, items, -1)
-				}
-			}
-		}
-	}
 
 	txns := make([]txnData, nw)
 	copy(txns, m.txns[evict:])
@@ -182,28 +59,12 @@ func (s *Stream) Slide(enter []model.Transaction, evict int) (*Result, error) {
 		m.expandTxn(&raw[keep+i], &txns[keep+i])
 	})
 	m.txns = txns
-	m.numTxns = nw
 	s.raw = raw
-	s.evicted += evict
-
-	for i := keep; i < nw; i++ {
-		if items := txns[i].items; len(items) > 0 {
-			deltaCount(s.level1Trie.children, items, +1)
-			for j := range s.monitored {
-				if j == 0 && s.borderOK {
-					s.deltaTouch(s.monitored[j].trie.children, items, +1)
-				} else {
-					deltaCount(s.monitored[j].trie.children, items, +1)
-				}
-			}
-		}
-	}
 
 	// A relative MinSupport re-resolves against the new window length,
 	// exactly as a batch run over this window would.
 	m.minCount = resolveMinCount(m.opts, nw)
-	s.maintainBorder()
-	s.mine()
+	s.res = m.run()
 	return s.res, nil
 }
 
@@ -227,599 +88,4 @@ func (s *Stream) ExpandedBodies() [][]hierarchy.GenID {
 		out[i] = s.m.txns[i].items
 	}
 	return out
-}
-
-// mine re-runs the level-wise loop of miner.run over the current window,
-// reusing maintained body counts, the event-maintained pair border, and
-// cached pass-2 shard partials wherever they apply. Pass 2 and rule
-// emission mirror the batch loop statement for statement so the Result
-// is indistinguishable from a batch mine.
-func (s *Stream) mine() {
-	m := s.m
-	m.result = Result{NumTransactions: m.numTxns, MinSupportCount: m.minCount}
-	m.orderNext = 0
-
-	// Default-rule statistics are computed first (the batch loop reserves
-	// Order 0 for the default before emitting any rule), but the rule
-	// itself is built last, once its final Order is known.
-	dstats := m.defaultHeadStats()
-	dbest := bestDefaultHead(dstats)
-	m.orderNext = 1
-
-	emitted := make(map[string]*rules.Rule, len(s.prevRules))
-	prevMon := s.monitored
-	var nextMon []streamLevel
-
-	if !s.counted {
-		m.countBodiesPass(s.level1, s.level1Trie)
-		s.counted = true
-	}
-	frequent := s.statPass(s.level1, len(s.level1))
-	for k := 2; ; k++ {
-		m.result.FrequentBodies = append(m.result.FrequentBodies, len(frequent))
-		s.emitReuse(frequent, emitted)
-		eventLevel := k == 2 && s.borderOK && len(prevMon) > 0
-		if eventLevel {
-			// Keep the pair trie under delta maintenance even on slides
-			// where the pair level goes empty — its counts must stay
-			// current for the border events to be meaningful.
-			nextMon = append(nextMon, streamLevel{trie: prevMon[0].trie})
-		}
-		if k > m.opts.MaxBodyLen || len(frequent) < 2 {
-			break
-		}
-		if eventLevel {
-			if s.gen2 == 0 {
-				break // batch: an empty generation ends the loop
-			}
-			m.result.CandidateBodies = append(m.result.CandidateBodies, s.gen2)
-			for i, c := range s.freq2 {
-				c.stats = nil
-				c.slot = int32(i)
-			}
-			s.cachedStatPass(s.freq2)
-			frequent = s.freq2
-			continue
-		}
-		var prev *streamLevel
-		if len(prevMon) >= k-1 {
-			prev = &prevMon[k-2]
-		}
-		var monTrie *trieNode
-		if prev != nil {
-			monTrie = prev.trie
-		}
-		// Generation adopts straight out of the persistent trie: a joined
-		// body already monitored is emitted as its existing candidate,
-		// count and all; only never-seen bodies come back in fresh.
-		gen, fresh := m.generateCandidates(frequent, monTrie)
-		if len(gen) == 0 {
-			if k == 2 {
-				s.borderOK = false
-			}
-			break
-		}
-		lvl := s.adopt(gen, fresh, prev)
-		nextMon = append(nextMon, lvl)
-		prevFrequent := frequent
-		frequent = s.statPass(lvl.cands, len(gen))
-		if k == 2 {
-			s.seedBorder(prevFrequent, len(gen), frequent)
-		}
-	}
-	s.monitored = nextMon
-
-	def := &rules.Rule{
-		Head:      m.heads[dbest],
-		BodyCount: m.numTxns,
-		HitCount:  int(dstats[dbest].hits),
-		Profit:    dstats[dbest].profit,
-		Order:     m.orderNext,
-	}
-	//lint:allow rankorder,floatcmp -- pointer-reuse gate, not an ordering: only a field-for-field unchanged default rule may keep its pointer identity across slides
-	if p := s.prevDefault; p != nil && p.Head == def.Head && p.BodyCount == def.BodyCount && p.HitCount == def.HitCount && p.Order == def.Order && p.Profit == def.Profit {
-		def = p
-	}
-	m.orderNext++
-	m.result.Default = def
-	s.prevDefault = def
-	s.prevRules = emitted
-
-	res := m.result
-	s.res = &res
-}
-
-// statPass runs pass 2 for one materialized level: head statistics for
-// the frequent candidates alone. Stale statistics from the previous
-// slide are discarded first — only the integer body counts carry over.
-// It returns the frequent candidates (the stream always mines with a
-// positive support threshold, so the frequency filter is exactly the
-// count test).
-func (s *Stream) statPass(cands []*candidate, candCount int) []*candidate {
-	m := s.m
-	m.result.CandidateBodies = append(m.result.CandidateBodies, candCount)
-	var bySlot []*candidate
-	for _, c := range cands {
-		c.stats = nil // stale from the previous slide; reallocated on first hit
-		if c.count >= m.minCount {
-			c.slot = int32(len(bySlot))
-			bySlot = append(bySlot, c)
-		} else {
-			c.slot = -1
-		}
-	}
-	s.cachedStatPass(bySlot)
-	return bySlot
-}
-
-// cachedStatPass computes head statistics for the candidates carrying a
-// stat slot. When the window is aligned to the shard grid of the batch
-// pass (start and length both multiples of par.ShardSize), each shard
-// covers an immutable block of the lifetime stream, so every
-// (candidate, shard) partial is computed at most once, cached on the
-// candidate, and replayed in ascending shard order — the batch merge
-// order — which keeps the float statistics byte-identical to a batch
-// mine. Unaligned windows run the plain sharded pass; the cache is left
-// intact for when alignment returns.
-func (s *Stream) cachedStatPass(bySlot []*candidate) {
-	m := s.m
-	if len(bySlot) == 0 {
-		return
-	}
-	w := len(m.txns)
-	if s.evicted%par.ShardSize != 0 || w%par.ShardSize != 0 {
-		m.countPass(nil, bySlot, buildBodyTrie(bySlot), countHeads)
-		return
-	}
-	shard0 := int32(s.evicted / par.ShardSize)
-	end := shard0 + int32(w/par.ShardSize)
-
-	// Recompute missing coverage, walking shards in ascending order with
-	// a trie that grows as candidates' uncovered ranges begin. The walk
-	// is serial, so it is worker-independent by construction; each
-	// shard's partial accumulates in within-shard transaction order,
-	// exactly like one shard of the batch pass.
-	buckets := make([][]*candidate, end-shard0)
-	work := 0
-	for _, c := range bySlot {
-		if len(c.hist) > 0 && c.hist[0].shard < shard0 {
-			i := sort.Search(len(c.hist), func(i int) bool { return c.hist[i].shard >= shard0 })
-			c.hist = append(c.hist[:0:0], c.hist[i:]...)
-		}
-		start := c.histEnd
-		if start < shard0 {
-			start = shard0
-		}
-		if start < end {
-			buckets[start-shard0] = append(buckets[start-shard0], c)
-			work++
-		}
-	}
-	stride := len(m.heads)
-	if work > 0 {
-		buf := newCountBuf(work, stride, true)
-		root := &trieNode{}
-		var active []*candidate
-		for rel := range buckets {
-			for _, c := range buckets[rel] {
-				c.slot = int32(len(active))
-				active = append(active, c)
-				insertCand(root, c)
-			}
-			if len(active) == 0 {
-				continue
-			}
-			lo := rel * par.ShardSize
-			for i := lo; i < lo+par.ShardSize; i++ {
-				td := &m.txns[i]
-				if len(td.items) > 0 {
-					countHeads(root.children, td.items, td, buf)
-				}
-			}
-			for _, slot := range buf.touched {
-				row := buf.stats[int(slot)*stride : (int(slot)+1)*stride]
-				anyHits := false
-				for _, st := range row {
-					if st.hits > 0 {
-						anyHits = true
-						break
-					}
-				}
-				// The batch merge skips shards without a head hit (the stat
-				// slice is allocated lazily); the cache mirrors that — a
-				// hitless shard has no row, and an all-zero row would alter
-				// the float replay anyway (x + 0 rewrites a -0 sum).
-				if anyHits {
-					c := active[slot]
-					cp := make([]headStat, stride)
-					copy(cp, row)
-					c.hist = append(c.hist, candShard{shard: shard0 + int32(rel), row: cp})
-				}
-				for j := range row {
-					row[j] = headStat{}
-				}
-				buf.counts[slot] = 0
-			}
-			buf.touched = buf.touched[:0]
-		}
-		for _, c := range active {
-			c.histEnd = end
-		}
-	}
-
-	// Replay the cached rows covering the window, ascending — the order
-	// the batch merge commits shards in.
-	for _, c := range bySlot {
-		for _, hs := range c.hist {
-			if c.stats == nil {
-				c.stats = make([]headStat, stride)
-			}
-			for h := range hs.row {
-				c.stats[h].hits += hs.row[h].hits
-				c.stats[h].profit += hs.row[h].profit
-			}
-		}
-	}
-}
-
-// maintainBorder advances the event-driven pair border across one slide.
-// The generated pair set is a pure function of the frequent singletons
-// (every antichain pair), so its frequent subset changes only through
-//
-//	(1) a pair's count crossing the threshold — collected as touched2 by
-//	    the slide's delta walks;
-//	(2) a singleton leaving the frequent set — every generated pair with
-//	    that endpoint leaves with it;
-//	(3) a singleton entering the frequent set — its antichain pairs with
-//	    the other frequent singletons enter the generated set; pairs
-//	    already monitored carry valid maintained counts, never-seen ones
-//	    are counted over the window and grafted into the pair trie.
-//
-// A changed support threshold re-frames every crossing at once; the
-// border is invalidated instead, and the next mine regenerates it with
-// the batch join (seedBorder re-arms event maintenance).
-func (s *Stream) maintainBorder() {
-	m := s.m
-	touched := s.touched2
-	s.touched2 = nil
-	if !s.borderOK {
-		return
-	}
-	if m.minCount != s.minCountPrev || len(s.monitored) == 0 {
-		s.borderOK = false
-		return
-	}
-	trie2 := s.monitored[0].trie
-
-	f1new := m.filterFrequent(s.level1)
-	var removed, added []*candidate
-	i, j := 0, 0
-	for i < len(s.freq1) || j < len(f1new) {
-		switch {
-		case j == len(f1new) || (i < len(s.freq1) && s.freq1[i].items[0] < f1new[j].items[0]):
-			removed = append(removed, s.freq1[i])
-			i++
-		case i == len(s.freq1) || f1new[j].items[0] < s.freq1[i].items[0]:
-			added = append(added, f1new[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-
-	recheck := touched
-	if len(removed) > 0 || len(added) > 0 {
-		// Removals first, against the shrinking singleton set, then
-		// additions against the growing one: each affected pair is
-		// accounted exactly once, including pairs between two churned
-		// singletons.
-		for _, r := range removed {
-			r.freq = false
-			x := r.items[0]
-			for _, p := range s.level1 {
-				if !p.freq {
-					continue
-				}
-				if lo, hi := orderPair(x, p.items[0]); !m.space.Comparable(lo, hi) {
-					s.gen2--
-				}
-			}
-		}
-		var fresh []*candidate
-		for _, a := range added {
-			a.freq = true
-			x := a.items[0]
-			for _, p := range s.level1 {
-				if !p.freq || p == a {
-					continue
-				}
-				lo, hi := orderPair(x, p.items[0])
-				if m.space.Comparable(lo, hi) {
-					continue
-				}
-				s.gen2++
-				if c := lookupPair(trie2, lo, hi); c != nil {
-					recheck = append(recheck, c)
-				} else {
-					fresh = append(fresh, &candidate{items: []hierarchy.GenID{lo, hi}})
-				}
-			}
-		}
-		if len(fresh) > 0 {
-			sort.Slice(fresh, func(i, j int) bool {
-				a, b := fresh[i].items, fresh[j].items
-				if a[0] != b[0] {
-					return a[0] < b[0]
-				}
-				return a[1] < b[1]
-			})
-			m.countBodiesPass(fresh, buildBodyTrie(fresh))
-			for _, c := range fresh {
-				insertCand(trie2, c)
-				recheck = append(recheck, c)
-			}
-		}
-	}
-	s.freq1 = f1new
-
-	// Decide membership for every pair that could have changed: the
-	// standing border (endpoint removals) plus every rechecked pair. The
-	// flag flip makes duplicate entries idempotent.
-	var adds []*candidate
-	changed := false
-	decide := func(c *candidate) {
-		want := c.count >= m.minCount &&
-			s.singletonFrequent(c.items[0]) && s.singletonFrequent(c.items[1])
-		if want == c.freq {
-			return
-		}
-		c.freq = want
-		changed = true
-		if want {
-			adds = append(adds, c)
-		}
-	}
-	for _, c := range s.freq2 {
-		decide(c)
-	}
-	for _, c := range recheck {
-		decide(c)
-	}
-	if !changed {
-		return
-	}
-	sort.Slice(adds, func(i, j int) bool {
-		a, b := adds[i].items, adds[j].items
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		return a[1] < b[1]
-	})
-	merged := make([]*candidate, 0, len(s.freq2)+len(adds))
-	i, j = 0, 0
-	for i < len(s.freq2) || j < len(adds) {
-		switch {
-		case j == len(adds) || (i < len(s.freq2) && pairLess(s.freq2[i], adds[j])):
-			if s.freq2[i].freq {
-				merged = append(merged, s.freq2[i])
-			}
-			i++
-		default:
-			merged = append(merged, adds[j])
-			j++
-		}
-	}
-	s.freq2 = merged
-}
-
-// seedBorder (re)arms event-driven pair maintenance from a full batch
-// generation: freq1/freq2 membership flags are rebuilt from scratch and
-// the implicit candidate-set size recorded.
-func (s *Stream) seedBorder(freq1 []*candidate, gen2 int, freq2 []*candidate) {
-	for _, c := range s.freq1 {
-		c.freq = false
-	}
-	for _, c := range s.freq2 {
-		c.freq = false
-	}
-	for _, c := range freq1 {
-		c.freq = true
-	}
-	for _, c := range freq2 {
-		c.freq = true
-	}
-	s.freq1, s.freq2, s.gen2 = freq1, freq2, gen2
-	s.minCountPrev = s.m.minCount
-	s.borderOK = true
-}
-
-// singletonFrequent reports whether the singleton body g is currently
-// frequent, by its maintained border flag.
-func (s *Stream) singletonFrequent(g hierarchy.GenID) bool {
-	n := findChild(s.level1Trie.children, g)
-	return n != nil && n.cand != nil && n.cand.freq
-}
-
-// orderPair returns the two generalizations in ascending order — the
-// orientation the batch join tests antichains in.
-func orderPair(x, y hierarchy.GenID) (hierarchy.GenID, hierarchy.GenID) {
-	if y < x {
-		return y, x
-	}
-	return x, y
-}
-
-// pairLess orders pair candidates lexicographically.
-func pairLess(a, b *candidate) bool {
-	if a.items[0] != b.items[0] {
-		return a.items[0] < b.items[0]
-	}
-	return a.items[1] < b.items[1]
-}
-
-// lookupPair finds the monitored pair candidate {x, y}, if any.
-func lookupPair(root *trieNode, x, y hierarchy.GenID) *candidate {
-	n := findChild(root.children, x)
-	if n == nil {
-		return nil
-	}
-	n = findChild(n.children, y)
-	if n == nil {
-		return nil
-	}
-	return n.cand
-}
-
-// emitReuse mirrors miner.emitRules, but re-emits a previous slide's rule
-// pointer when body, head, statistics and order are all unchanged.
-func (s *Stream) emitReuse(frequent []*candidate, emitted map[string]*rules.Rule) {
-	m := s.m
-	for _, c := range frequent {
-		if c.stats == nil {
-			continue
-		}
-		for h := range c.stats {
-			st := &c.stats[h]
-			if st.hits == 0 {
-				continue
-			}
-			if int(st.hits) < m.minCount {
-				continue
-			}
-			if m.opts.MinRuleProfit > 0 && st.profit < m.opts.MinRuleProfit {
-				continue
-			}
-			if m.opts.MinConfidence > 0 && float64(st.hits) < m.opts.MinConfidence*float64(c.count) {
-				continue
-			}
-			key := ruleKey(c.items, m.heads[h])
-			r := s.prevRules[key]
-			if r == nil || r.BodyCount != c.count || r.HitCount != int(st.hits) || r.Order != m.orderNext ||
-				r.Profit != st.profit { //lint:allow floatcmp -- pointer-reuse gate: only an exactly unchanged rule may keep its identity across slides
-				body := make([]hierarchy.GenID, len(c.items))
-				copy(body, c.items)
-				r = &rules.Rule{
-					Body:      body,
-					Head:      m.heads[h],
-					BodyCount: c.count,
-					HitCount:  int(st.hits),
-					Profit:    st.profit,
-					Order:     m.orderNext,
-				}
-			}
-			m.result.Rules = append(m.result.Rules, r)
-			emitted[key] = r
-			m.orderNext++
-		}
-	}
-}
-
-// adopt finishes a generated level: candidates adopted from the
-// persistent trie already carry their maintained counts; the fresh ones
-// are counted once over the full window and grafted in (the trie is a
-// superset — see streamLevel).
-func (s *Stream) adopt(gen, fresh []*candidate, prev *streamLevel) streamLevel {
-	if prev == nil {
-		trie := buildBodyTrie(gen)
-		s.m.countBodiesPass(gen, trie)
-		return streamLevel{cands: gen, trie: trie}
-	}
-	lvl := streamLevel{cands: gen, trie: prev.trie}
-	if len(fresh) > 0 {
-		// fresh preserves gen's lexicographic order, so sequential trie
-		// insertion applies. The counting pass runs over a trie of the
-		// fresh candidates alone; the graft into the persistent trie
-		// happens after, so adopted candidates cannot be double-counted.
-		s.m.countBodiesPass(fresh, buildBodyTrie(fresh))
-		for _, c := range fresh {
-			insertCand(lvl.trie, c)
-		}
-	}
-	return lvl
-}
-
-// insertCand grafts one candidate into a persistent trie, keeping each
-// node's children sorted by item.
-func insertCand(root *trieNode, c *candidate) {
-	node := root
-	for _, g := range c.items {
-		ch := node.children
-		idx := sort.Search(len(ch), func(i int) bool { return ch[i].item >= g })
-		if idx < len(ch) && ch[idx].item == g {
-			node = ch[idx]
-			continue
-		}
-		child := &trieNode{item: g}
-		node.children = append(node.children, nil)
-		copy(node.children[idx+1:], node.children[idx:])
-		node.children[idx] = child
-		node = child
-	}
-	node.cand = c
-}
-
-// deltaCount is the delta form of the countBodies walk: it adds delta
-// directly to each matched candidate's count. Integer counts are
-// order-independent, so no sharding contract applies.
-func deltaCount(nodes []*trieNode, xs []hierarchy.GenID, delta int) {
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			if node.cand != nil {
-				node.cand.count += delta
-			}
-			if len(node.children) > 0 {
-				deltaCount(node.children, xs[xi+1:], delta)
-			}
-			ni++
-			xi++
-		}
-	}
-}
-
-// deltaTouch is deltaCount with crossing-event collection: each
-// candidate whose count changes this slide is recorded once in touched2
-// (deduplicated by slide generation) for maintainBorder to recheck.
-func (s *Stream) deltaTouch(nodes []*trieNode, xs []hierarchy.GenID, delta int) {
-	ni, xi := 0, 0
-	for ni < len(nodes) && xi < len(xs) {
-		switch {
-		case nodes[ni].item < xs[xi]:
-			ni++
-		case nodes[ni].item > xs[xi]:
-			xi++
-		default:
-			node := nodes[ni]
-			if c := node.cand; c != nil {
-				c.count += delta
-				if c.touched != s.slideGen {
-					c.touched = s.slideGen
-					s.touched2 = append(s.touched2, c)
-				}
-			}
-			if len(node.children) > 0 {
-				s.deltaTouch(node.children, xs[xi+1:], delta)
-			}
-			ni++
-			xi++
-		}
-	}
-}
-
-// ruleKey identifies a (body, head) pair across slides. Body GenIDs and
-// head GenIDs are disjoint (bodies are non-target sales, heads target
-// item/promotion pairs), so appending the head cannot collide with a
-// longer body.
-func ruleKey(items []hierarchy.GenID, head hierarchy.GenID) string {
-	buf := make([]hierarchy.GenID, 0, len(items)+1)
-	buf = append(buf, items...)
-	buf = append(buf, head)
-	return rules.BodyKey(buf)
 }

@@ -1,6 +1,6 @@
 // Package par provides the deterministic worker-pool primitives behind
-// the parallel model-build pipeline (mining's level-wise counting passes
-// and core's covering-tree construction).
+// the parallel model-build pipeline (mining's level-wise counting and
+// core's covering-tree construction).
 //
 // Determinism contract: a computation parallelized with this package must
 // produce byte-identical results for every worker count, including 1.

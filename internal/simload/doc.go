@@ -11,7 +11,7 @@
 // item match, the bump-weight tail for price acceptance. Served
 // recommendations therefore causally shift realized profit, which
 // drives the feedback collector's drift detector, which drives windowed
-// delta re-mining, staging, and promotion: the whole loop the paper's
+// re-mining, staging, and promotion: the whole loop the paper's
 // actions are supposed to survive.
 //
 // Two execution modes:

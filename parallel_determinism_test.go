@@ -36,9 +36,9 @@ func TestParallelBuildIsByteIdentical(t *testing.T) {
 				name string
 				opts profitmining.Options
 			}{
-				// Support mining: the two-pass countBodies/countHeads path.
+				// Support mining: head statistics for frequent bodies only.
 				{"support", profitmining.Options{MinSupport: 0.003}},
-				// Profit-only pruning: the single-pass countAll path.
+				// Profit-only pruning: head statistics for every matched body.
 				{"profit", profitmining.Options{MinRuleProfit: 40, MaxBodyLen: 2}},
 				// Unpruned tree: projectTree results are the final values.
 				{"noprune", profitmining.Options{MinSupport: 0.005, DisablePruning: true}},
@@ -62,16 +62,15 @@ func TestParallelBuildIsByteIdentical(t *testing.T) {
 // incremental maintenance: after any schedule of window slides, the
 // model maintained by Incremental.Slide must serialize to exactly the
 // bytes a from-scratch Build over the same window produces — at any
-// worker count. The schedules cover steady turnover, an empty slide
-// (a no-op), a single-transaction nudge (almost everything clean — the
-// cached-projection and cached-pruning paths must still reproduce the
-// batch bytes), a bulk slide turning over a quarter of the window, and
-// an odd remainder. The shard-aligned schedule keeps the window on the
-// counting-pass shard grid (multiples of 1024), which engages the
-// cached pass-2 shard-partial replay; its middle slide breaks alignment
-// (plain-pass fallback) and the last one restores it, so cache reuse
-// across an alignment gap is covered too. Runs under -race in CI,
-// vouching for the delta passes' memory safety.
+// worker count. A slide re-mines and rebuilds its window with Build's
+// code, so what this checks is that the window is the right one (the
+// evicted transactions leave, the entering ones are expanded once and
+// kept in order) and that the shared code is deterministic. The
+// schedules cover steady turnover, an empty slide (a no-op), a
+// single-transaction nudge, a bulk slide turning over a quarter of the
+// window, and an odd remainder; one keeps the window on the 1024-
+// transaction counting-shard grid, breaks it, and restores it. Runs
+// under -race in CI.
 func TestIncrementalSlideMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed slide matrix")
