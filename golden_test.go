@@ -1,6 +1,7 @@
 package profitmining_test
 
 import (
+	"fmt"
 	"testing"
 
 	"profitmining"
@@ -65,6 +66,30 @@ func TestGoldenModelDigests(t *testing.T) {
 			}
 			return rec
 		}, "2cdfd007d0fd33f7ef981fb30a495be61bb604fefbaeb1da36bd92e9d761be28"},
+		// Every non-target item sits under two of eight concepts, so a more
+		// general body can be longer than the body it generalizes.
+		{"multi-parent-hierarchy", func(t *testing.T, workers int) *profitmining.Recommender {
+			hb := profitmining.NewHierarchy(dsI.Catalog)
+			for c := 0; c < 8; c++ {
+				hb.AddConcept(fmt.Sprintf("c%d", c))
+			}
+			for _, item := range dsI.Catalog.Items() {
+				if !item.Target {
+					i := int(item.ID)
+					hb.PlaceItem(item.ID, fmt.Sprintf("c%d", i%8), fmt.Sprintf("c%d", (i+3)%8))
+				}
+			}
+			rec, err := profitmining.Build(dsI, profitmining.Options{
+				MinSupport:  0.01,
+				Hierarchy:   hb,
+				Parallelism: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}, "98732a30f022d92dddc119da9381beaf7ed544bbaa4b4456613e5b6447188a06"},
+		{"interest-1.2", build(profitmining.Options{MinSupport: 0.01, MinInterest: 1.2}), "c28d668842631196c46464b8b3543df5d21e68c2e8b6eded77becf2a10ed5913"},
 		{"incremental-two-slides", func(t *testing.T, workers int) *profitmining.Recommender {
 			inc, err := profitmining.NewIncremental(&profitmining.Dataset{
 				Catalog:      dsI.Catalog,

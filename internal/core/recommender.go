@@ -8,6 +8,15 @@
 // of Definition 9, maximizing the pessimistically projected profit on
 // future customers. The resulting Recommender answers Recommend queries
 // by most-profitable-first rule selection (Definition 6).
+//
+// The miner already leaves out most rules that can never fire: those a
+// rule of their own target item with a shorter or the same body
+// dominates. Build's filters stay exact. RemoveDominated and the
+// per-item alternates also remove the dominators the miner cannot see (a
+// same-length body, or a longer one in a multi-parent hierarchy), and
+// they keep exactly the rules they would keep from the exhaustive set: a
+// chain of dominators within an item always ends at a rule the miner
+// kept.
 package core
 
 import (
@@ -68,7 +77,10 @@ const (
 
 // BuildStats reports what construction did.
 type BuildStats struct {
-	RulesGenerated    int     // mined rules incl. the default rule
+	// RulesGenerated counts the mined rules passing the thresholds, with
+	// the default rule: mining.Result.Generated + 1. The miner allocates
+	// only the rules that can fire, but counts every one.
+	RulesGenerated    int
 	RulesNonDominated int     // after removing rules that can never fire
 	RulesFinal        int     // after cut-optimal pruning
 	ProjectedProfit   float64 // Σ Prof_pr over the final tree
@@ -190,7 +202,7 @@ func Build(space *hierarchy.Space, txns []model.Transaction, mined *mining.Resul
 
 	alt := computeAlternates(space, all)
 
-	return assemble(space, root, final, alt, len(all), len(kept))
+	return assemble(space, root, final, alt, mined.Generated+1, len(kept))
 }
 
 // normalized applies Config defaults and validates the explicit fields.

@@ -102,19 +102,20 @@ func TestMineConceptRules(t *testing.T) {
 	}
 }
 
-// TestMineHierarchyAgainstNaive extends the miner/naive equivalence to a
-// space with concepts, multiple levels and MOA ladders.
-func TestMineHierarchyAgainstNaive(t *testing.T) {
+// hierTrials returns the inputs of TestMineHierarchyAgainstNaive: a space
+// with concepts, multiple levels and MOA ladders.
+func hierTrials(tb testing.TB) []trial {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 12; trial++ {
-		moa := trial%2 == 0
-		f := newHierFixture(t, moa)
+	var out []trial
+	for i := 0; i < 12; i++ {
+		moa := i%2 == 0
+		f := newHierFixture(tb, moa)
 		promos := []model.PromoID{f.pPork, f.pBeef, f.pMilk1, f.pMilk2, f.pSoap}
 		targets := []model.PromoID{f.t5, f.t6}
 
 		var txns []model.Transaction
 		n := 6 + rng.Intn(14)
-		for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			var nt []model.PromoID
 			for _, p := range promos {
 				if rng.Float64() < 0.35 {
@@ -127,28 +128,89 @@ func TestMineHierarchyAgainstNaive(t *testing.T) {
 			txns = append(txns, f.txn(targets[rng.Intn(2)], nt...))
 		}
 		minCount := 1 + rng.Intn(3)
+		out = append(out, trial{index: i, moa: moa, space: f.space, txns: txns, minCount: minCount})
+	}
+	return out
+}
 
-		res, err := Mine(f.space, txns, Options{MinSupportCount: minCount, MaxBodyLen: 3})
+// TestMineHierarchyAgainstNaive extends the miner/naive equivalence to a
+// space with concepts, multiple levels and MOA ladders.
+func TestMineHierarchyAgainstNaive(t *testing.T) {
+	for _, tr := range hierTrials(t) {
+		checkAgainstNaive(t, tr)
+	}
+}
+
+// multiParentTrials returns inputs over a hierarchy whose items and
+// concepts have several parents: concept W sits under X and Y, pork under
+// W and Z, milk under X and Z. A body such as {W, Z} then generalizes the
+// shorter {pork}. The fixture has two target items, so a rule's own item
+// is not always the default rule's.
+func multiParentTrials(tb testing.TB) []trial {
+	rng := rand.New(rand.NewSource(23))
+	var out []trial
+	for i := 0; i < 12; i++ {
+		moa := i%2 == 0
+		cat := model.NewCatalog()
+		var promos []model.PromoID
+		for _, it := range []struct {
+			name   string
+			prices []float64
+		}{{"pork", []float64{4, 5}}, {"beef", []float64{6}}, {"milk", []float64{1, 1.5}}, {"soap", []float64{2}}} {
+			id := cat.AddItem(it.name, false)
+			for _, p := range it.prices {
+				promos = append(promos, cat.AddPromo(id, p, p/2, 1))
+			}
+		}
+		var targets []model.PromoID
+		for _, name := range []string{"T", "U"} {
+			id := cat.AddItem(name, true)
+			targets = append(targets, cat.AddPromo(id, 5, 3, 1), cat.AddPromo(id, 6, 3, 1))
+		}
+		b := hierarchy.NewBuilder(cat)
+		b.AddConcept("X")
+		b.AddConcept("Y")
+		b.AddConcept("Z")
+		b.AddConcept("W", "X", "Y")
+		pork, _ := cat.ItemByName("pork")
+		beef, _ := cat.ItemByName("beef")
+		milk, _ := cat.ItemByName("milk")
+		b.PlaceItem(pork, "W", "Z")
+		b.PlaceItem(beef, "Y")
+		b.PlaceItem(milk, "X", "Z")
+		space, err := b.Compile(hierarchy.Options{MOA: moa})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		want := naiveMine(f.space, txns, minCount, 3, nil)
 
-		got := map[string]*rules.Rule{}
-		for _, r := range res.Rules {
-			got[rules.BodyKey(r.Body)+"|"+rules.BodyKey([]hierarchy.GenID{r.Head})] = r
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (moa=%v): %d rules, reference has %d", trial, moa, len(got), len(want))
-		}
-		for k, w := range want {
-			g, ok := got[k]
-			if !ok {
-				t.Fatalf("trial %d: missing rule %s", trial, w.String(f.space))
+		var txns []model.Transaction
+		n := 8 + rng.Intn(24)
+		for j := 0; j < n; j++ {
+			var nt []model.Sale
+			for _, p := range promos {
+				if rng.Float64() < 0.35 {
+					nt = append(nt, model.Sale{Item: cat.Promo(p).Item, Promo: p, Qty: 1})
+				}
 			}
-			if g.BodyCount != w.BodyCount || g.HitCount != w.HitCount || math.Abs(g.Profit-w.Profit) > 1e-9 {
-				t.Fatalf("trial %d: rule %s measures differ", trial, w.String(f.space))
+			if len(nt) == 0 {
+				p := promos[rng.Intn(len(promos))]
+				nt = append(nt, model.Sale{Item: cat.Promo(p).Item, Promo: p, Qty: 1})
 			}
+			tp := targets[rng.Intn(len(targets))]
+			txns = append(txns, model.Transaction{
+				NonTarget: nt,
+				Target:    model.Sale{Item: cat.Promo(tp).Item, Promo: tp, Qty: float64(1 + rng.Intn(2))},
+			})
 		}
+		out = append(out, trial{index: i, moa: moa, space: space, txns: txns, minCount: 1 + rng.Intn(3)})
+	}
+	return out
+}
+
+// TestMineMultiParentAgainstNaive extends the miner/naive equivalence to a
+// hierarchy with multiple parents.
+func TestMineMultiParentAgainstNaive(t *testing.T) {
+	for _, tr := range multiParentTrials(t) {
+		checkAgainstNaive(t, tr)
 	}
 }

@@ -22,6 +22,17 @@
 // added in ascending shard order. Candidates are counted in parallel, but
 // every candidate's float sums stay on one goroutine in that fixed order,
 // so the result does not depend on the worker count.
+//
+// Only rules that can fire are allocated. A rule that a rule of its own
+// target item outranks and generalizes is dominated (Section 4.1): it
+// can fire neither as the MPF answer nor as its item's top-K alternate.
+// Each frequent body keeps at most its best head per target item, and
+// that head only if neither the default rule nor a rule of its item kept
+// at a lower level dominates it. Every rule passing the thresholds is
+// still counted (Result.Generated) and numbered (Rule.Order), so the
+// kept rules carry exactly the orders an exhaustive run gives them.
+// Dominators of the same length with another body, and the longer ones a
+// multi-parent hierarchy allows, are left to core's exact filters.
 package mining
 
 import (
@@ -96,9 +107,16 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of rule generation.
 type Result struct {
-	// Rules are the generated rules in generation order, not including
-	// the default rule.
+	// Rules are the generated rules that can fire, in generation order,
+	// not including the default rule. A rule passing the thresholds is
+	// left out when the default rule, a rule of its own body, or a rule of
+	// a shorter body outranks it and generalizes its body, all of the same
+	// target item: such a rule is dominated within its item and never
+	// fires. The kept rules keep the Order an exhaustive run gives them.
 	Rules []*rules.Rule
+	// Generated counts every rule passing the thresholds, kept in Rules
+	// or left out; the default rule is not counted.
+	Generated int
 	// Default is the default rule ∅ → g with the maximum recommendation
 	// profit (Section 3.1). Its Order is after all generated rules.
 	Default *rules.Rule
@@ -114,9 +132,11 @@ type Result struct {
 	CandidateBodies []int
 }
 
-// headStat accumulates per-head counts for one candidate body.
+// headStat accumulates per-head counts for one candidate body. fires
+// marks the head whose rule can fire; emitRules allocates only those.
 type headStat struct {
 	hits   int32
+	fires  bool
 	profit float64
 }
 
@@ -139,17 +159,24 @@ func Mine(space *hierarchy.Space, txns []model.Transaction, opts Options) (*Resu
 }
 
 // resolveMinCount turns the relative support threshold into an absolute
-// transaction count for a window of the given size. 0 means mining is
-// driven purely by MinRuleProfit.
+// transaction count for a window of the given size: the least count c
+// with c/numTxns ≥ MinSupport, in the division Rule.Supp uses, so a rule
+// exactly at the threshold is mined. (The product MinSupport × numTxns
+// can round up past an integer: 0.07 × 100 is 7.000000000000001.) 0
+// means mining is driven purely by MinRuleProfit.
 func resolveMinCount(opts Options, numTxns int) int {
-	minCount := opts.MinSupportCount
-	if minCount == 0 && opts.MinSupport > 0 {
-		minCount = int(math.Ceil(opts.MinSupport * float64(numTxns)))
-		if minCount < 1 {
-			minCount = 1
-		}
+	if opts.MinSupportCount != 0 || opts.MinSupport <= 0 {
+		return opts.MinSupportCount
 	}
-	return minCount
+	n := float64(numTxns)
+	c := int(math.Ceil(opts.MinSupport * n))
+	for c > 1 && float64(c-1)/n >= opts.MinSupport {
+		c--
+	}
+	for float64(c)/n < opts.MinSupport {
+		c++
+	}
+	return max(c, 1)
 }
 
 // newMiner validates the options against a window of numTxns transactions
@@ -198,8 +225,16 @@ func newMiner(space *hierarchy.Space, opts Options, numTxns int) (*miner, error)
 		return nil, fmt.Errorf("mining: catalog has no target promotion codes")
 	}
 	headIdx := make(map[hierarchy.GenID]int32, len(heads))
+	headItem := make([]int32, len(heads))
+	itemIdx := make(map[model.ItemID]int32)
 	for i, h := range heads {
 		headIdx[h] = int32(i)
+		it, ok := itemIdx[space.ItemOf(h)]
+		if !ok {
+			it = int32(len(itemIdx))
+			itemIdx[space.ItemOf(h)] = it
+		}
+		headItem[i] = it
 	}
 
 	return &miner{
@@ -209,6 +244,8 @@ func newMiner(space *hierarchy.Space, opts Options, numTxns int) (*miner, error)
 		profitPruning: profitPruning,
 		heads:         heads,
 		headIdx:       headIdx,
+		headItem:      headItem,
+		numItems:      len(itemIdx),
 		workers:       par.Workers(opts.Parallelism),
 	}, nil
 }
@@ -219,9 +256,16 @@ type miner struct {
 	minCount      int
 	profitPruning bool
 
-	heads   []hierarchy.GenID
-	headIdx map[hierarchy.GenID]int32
-	workers int
+	heads    []hierarchy.GenID
+	headIdx  map[hierarchy.GenID]int32
+	headItem []int32 // dense target-item index of each head
+	numItems int     // number of target items
+	workers  int
+
+	// exhaustive allocates every rule passing the thresholds; only the
+	// package's tests set it, as the reference the pruning is checked
+	// against.
+	exhaustive bool
 
 	txns      []txnData
 	orderNext int
@@ -236,14 +280,23 @@ type miner struct {
 	withHeads []uint64
 	scratch   *sync.Pool // of *countScratch sized for this window
 
+	// dominators[i] is a sealed matcher over target item i's rules kept so
+	// far, the default rule among them if it is item i's (nil when there
+	// are none). sealDominators rebuilds them serially before a level is
+	// counted; the counting workers only read them.
+	dominators []*rules.Matcher
+
 	result Result
 }
 
 // countScratch is one counting task's working memory: the AND of a
-// prefix's singleton bitsets and one shard's head partials.
+// prefix's singleton bitsets, one shard's head partials, the best head
+// per target item (-1 for none) and a body's expansion.
 type countScratch struct {
 	prefix []uint64
 	row    []headStat
+	best   []int32
+	exp    []hierarchy.GenID
 }
 
 // prepare expands every transaction once: its generalized basket and its
@@ -284,11 +337,16 @@ func (m *miner) run() *Result {
 	m.orderNext = 0
 	m.words = (len(m.txns) + 63) / 64
 	m.scratch = &sync.Pool{New: func() any {
-		return &countScratch{prefix: make([]uint64, m.words), row: make([]headStat, len(m.heads))}
+		best := make([]int32, m.numItems)
+		for i := range best {
+			best[i] = -1
+		}
+		return &countScratch{prefix: make([]uint64, m.words), row: make([]headStat, len(m.heads)), best: best}
 	}}
-	defer func() { m.bits, m.withHeads, m.scratch = nil, nil, nil }()
+	defer func() { m.bits, m.withHeads, m.scratch, m.dominators = nil, nil, nil, nil }()
 
 	m.emitDefault()
+	m.sealDominators()
 
 	frequent := m.level1()
 	for k := 2; ; k++ {
@@ -297,6 +355,7 @@ func (m *miner) run() *Result {
 		if k > m.opts.MaxBodyLen || len(frequent) < 2 {
 			break
 		}
+		m.sealDominators()
 		var pairs *pairCounts
 		if k == 2 {
 			pairs = m.countPairs(frequent)
@@ -392,7 +451,11 @@ func (m *miner) level1() []*candidate {
 
 	par.For(m.workers, len(cands), func(i int) {
 		sc := m.scratch.Get().(*countScratch)
-		cands[i].stats = m.headStats(m.bits[cands[i].items[0]], nil, sc.row)
+		c := cands[i]
+		c.stats = m.headStats(m.bits[c.items[0]], nil, sc.row)
+		if m.keep(c) {
+			m.markFiring(c, sc)
+		}
 		m.scratch.Put(sc)
 	})
 	frequent := cands[:0]
@@ -542,6 +605,7 @@ func (m *miner) extendPrefix(frequent []*candidate, i int, freqTrie *trieNode, p
 			continue
 		}
 		c.items = append([]hierarchy.GenID(nil), join...)
+		m.markFiring(c, sc)
 		out = append(out, c)
 	}
 	return candidates, out
@@ -651,24 +715,98 @@ func buildBodyTrie(cands []*candidate) *trieNode {
 	return root
 }
 
-// emitRules converts a frequent body's per-head statistics into rules.
-func (m *miner) emitRules(frequent []*candidate) {
-	for _, c := range frequent {
-		if c.stats == nil {
+// emits reports whether a head's statistics over a body of count
+// matches pass the emission thresholds. Support and confidence are
+// tested in the divisions Rule.Supp and Rule.Conf use.
+func (m *miner) emits(st *headStat, count int) bool {
+	switch {
+	case st.hits == 0:
+		return false
+	case m.minCount > 0 && int(st.hits) < m.minCount:
+		return false
+	case m.opts.MinRuleProfit > 0 && st.profit < m.opts.MinRuleProfit:
+		return false
+	case m.opts.MinConfidence > 0 && float64(st.hits)/float64(count) < m.opts.MinConfidence:
+		return false
+	}
+	return true
+}
+
+// headRule is the rule of body c and head h, with the head index as its
+// order: within one body, heads are numbered in index order.
+func (m *miner) headRule(c *candidate, h int) rules.Rule {
+	return rules.Rule{
+		Body:      c.items,
+		Head:      m.heads[h],
+		BodyCount: c.count,
+		HitCount:  int(c.stats[h].hits),
+		Profit:    c.stats[h].profit,
+		Order:     h,
+	}
+}
+
+// markFiring marks the heads of a frequent body whose rules can fire.
+// Among the heads passing the emission thresholds it takes the best per
+// target item by rules.Outranks; the others are dominated by it. It
+// marks that head unless the best rule of its item in the dominators
+// matcher whose body generalizes c's — the default rule or a rule kept
+// at a lower level — outranks it. The matchers are sealed and only read
+// here, so the marks do not depend on the schedule. Runs on a counting
+// worker; it writes only c's own statistics. An exhaustive miner marks
+// every head that passes the thresholds.
+func (m *miner) markFiring(c *candidate, sc *countScratch) {
+	if m.exhaustive {
+		for h := range c.stats {
+			c.stats[h].fires = m.emits(&c.stats[h], c.count)
+		}
+		return
+	}
+	best := sc.best
+	for h := range c.stats {
+		if !m.emits(&c.stats[h], c.count) {
 			continue
 		}
+		it := m.headItem[h]
+		if b := best[it]; b >= 0 {
+			hr, br := m.headRule(c, h), m.headRule(c, int(b))
+			if !rules.Outranks(&hr, &br) {
+				continue
+			}
+		}
+		best[it] = int32(h)
+	}
+	sc.exp = sc.exp[:0]
+	for it, h := range best {
+		if h < 0 {
+			continue
+		}
+		best[it] = -1
+		if d := m.dominators[it]; d != nil {
+			if len(sc.exp) == 0 {
+				sc.exp = rules.AppendExpandBody(m.space, c.items, sc.exp)
+			}
+			hr := m.headRule(c, int(h))
+			if top := d.Best(sc.exp); top != nil && rules.Outranks(top, &hr) {
+				continue
+			}
+		}
+		c.stats[h].fires = true
+	}
+}
+
+// emitRules numbers every rule of the frequent bodies that passes the
+// emission thresholds and allocates those that can fire.
+func (m *miner) emitRules(frequent []*candidate) {
+	for _, c := range frequent {
 		for h := range c.stats {
 			st := &c.stats[h]
-			if st.hits == 0 {
+			if !m.emits(st, c.count) {
 				continue
 			}
-			if m.minCount > 0 && int(st.hits) < m.minCount {
-				continue
-			}
-			if m.opts.MinRuleProfit > 0 && st.profit < m.opts.MinRuleProfit {
-				continue
-			}
-			if m.opts.MinConfidence > 0 && float64(st.hits) < m.opts.MinConfidence*float64(c.count) {
+			order := m.orderNext
+			m.orderNext++
+			m.result.Generated++
+			if !st.fires {
 				continue
 			}
 			body := make([]hierarchy.GenID, len(c.items))
@@ -679,9 +817,29 @@ func (m *miner) emitRules(frequent []*candidate) {
 				BodyCount: c.count,
 				HitCount:  int(st.hits),
 				Profit:    st.profit,
-				Order:     m.orderNext,
+				Order:     order,
 			})
-			m.orderNext++
+		}
+	}
+}
+
+// sealDominators rebuilds the dominators matchers from the default rule
+// and the rules kept so far. It runs serially between levels, so the
+// counting workers of the next level read a fixed set.
+func (m *miner) sealDominators() {
+	byItem := make([][]*rules.Rule, m.numItems)
+	add := func(r *rules.Rule) {
+		it := m.headItem[m.headIdx[r.Head]]
+		byItem[it] = append(byItem[it], r)
+	}
+	add(m.result.Default)
+	for _, r := range m.result.Rules {
+		add(r)
+	}
+	m.dominators = make([]*rules.Matcher, m.numItems)
+	for it, rs := range byItem {
+		if len(rs) > 0 {
+			m.dominators[it] = rules.NewMatcher(rs)
 		}
 	}
 }

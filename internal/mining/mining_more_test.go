@@ -141,7 +141,7 @@ func TestMineExpectedBehaviorQuantity(t *testing.T) {
 	f := newFixture(t, true)
 	txns := []model.Transaction{f.txn(f.t6, 1, f.a1)} // recorded at $6
 
-	plain, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	plain, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMineExpectedBehaviorQuantity(t *testing.T) {
 		NearX:   2, NearY: 1, // 1-step discount always doubles
 		FarX: 3, FarY: 1,
 	}
-	greedy, err := Mine(f.space, txns, Options{MinSupportCount: 1, Quantity: eb})
+	greedy, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, Quantity: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMineMinConfidence(t *testing.T) {
 		txns = append(txns, f.txn(f.t5, 1, f.a1))
 		txns = append(txns, f.txn(f.t5, 1, f.b1))
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1, MinConfidence: 0.8})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, MinConfidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMineMinConfidence(t *testing.T) {
 		}
 	}
 	// Out-of-range threshold rejected.
-	if _, err := Mine(f.space, txns, Options{MinSupportCount: 1, MinConfidence: 1.5}); err == nil {
+	if _, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, MinConfidence: 1.5}); err == nil {
 		t.Error("MinConfidence > 1 must fail")
 	}
 }
@@ -210,7 +210,7 @@ func TestMineEmptyBaskets(t *testing.T) {
 		{Target: model.Sale{Item: f.t, Promo: f.t5, Qty: 1}},
 		f.txn(f.t5, 1, f.a1),
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +226,94 @@ func TestMineEmptyBaskets(t *testing.T) {
 func TestMineLargeQuantityProfit(t *testing.T) {
 	f := newFixture(t, true)
 	txns := []model.Transaction{f.txn(f.t5, 10, f.a1)} // quantity 10
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := findRule(t, res, f.space, []string{"A"}, "⟨T,$5⟩")
 	if r == nil || math.Abs(r.Profit-20) > 1e-9 {
 		t.Fatalf("quantity-10 profit = %+v, want 20", r)
+	}
+}
+
+// TestMineSupportExactlyAtThreshold mines a rule whose support is exactly
+// MinSupport. 0.07 × 100 evaluates to 7.000000000000001, so rounding the
+// product up would demand 8 hits; the resolved count is the least c with
+// c/n ≥ MinSupport, in the division Rule.Supp uses.
+func TestMineSupportExactlyAtThreshold(t *testing.T) {
+	f := newFixture(t, false)
+	var txns []model.Transaction
+	for i := 0; i < 93; i++ {
+		txns = append(txns, f.txn(f.t5, 1, f.a1))
+	}
+	for i := 0; i < 7; i++ {
+		txns = append(txns, f.txn(f.t6, 1, f.b1))
+	}
+	res, err := Mine(f.space, txns, Options{MinSupport: 0.07})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MinSupportCount != 7 {
+		t.Errorf("MinSupportCount = %d, want 7", res.MinSupportCount)
+	}
+	r := findRule(t, res, f.space, []string{"B"}, "⟨T,$6⟩")
+	if r == nil {
+		t.Fatal("rule {B} → ⟨T,$6⟩ with support exactly 0.07 not mined")
+	}
+	if r.Supp(res.NumTransactions) < 0.07 {
+		t.Errorf("Supp = %v, below the threshold it was mined at", r.Supp(res.NumTransactions))
+	}
+
+	// Every k% of every window size resolves to the least such count.
+	for n := 100; n <= 10000; n += 100 {
+		for k := 1; k <= 99; k++ {
+			minSup := float64(k) / 100
+			c := resolveMinCount(Options{MinSupport: minSup}, n)
+			if float64(c)/float64(n) < minSup || float64(c-1)/float64(n) >= minSup {
+				t.Fatalf("MinSupport %v over %d transactions resolved to %d", minSup, n, c)
+			}
+		}
+	}
+}
+
+// TestMineConfidenceExactlyAtThreshold mines a rule whose confidence is
+// exactly MinConfidence: 7 hits in 100 body matches at 0.07, where the
+// product 0.07 × 100 exceeds 7.
+func TestMineConfidenceExactlyAtThreshold(t *testing.T) {
+	cat := model.NewCatalog()
+	a := cat.AddItem("A", false)
+	pa := cat.AddPromo(a, 1, 0.5, 1)
+	b := cat.AddItem("B", false)
+	pb := cat.AddPromo(b, 1, 0.5, 1)
+	tt := cat.AddItem("T", true)
+	low := cat.AddPromo(tt, 3.1, 3, 1) // profit 0.1
+	high := cat.AddPromo(tt, 6, 3, 1)  // profit 3
+	space := hierarchy.Flat(cat, hierarchy.Options{})
+	txn := func(body model.PromoID, item model.ItemID, target model.PromoID) model.Transaction {
+		return model.Transaction{
+			NonTarget: []model.Sale{{Item: item, Promo: body, Qty: 1}},
+			Target:    model.Sale{Item: tt, Promo: target, Qty: 1},
+		}
+	}
+	// {A} → ⟨T,$6⟩: 7 hits in A's 100 transactions, Prof_re 0.21 against
+	// the default rule's 0.105, so it is also its body's best rule.
+	var txns []model.Transaction
+	for i := 0; i < 100; i++ {
+		target := low
+		if i < 7 {
+			target = high
+		}
+		txns = append(txns, txn(pa, a, target), txn(pb, b, low))
+	}
+	res, err := Mine(space, txns, Options{MinSupportCount: 1, MinConfidence: 0.07})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := findRule(t, res, space, []string{"A"}, "⟨T,$6⟩")
+	if r == nil {
+		t.Fatal("rule {A} → ⟨T,$6⟩ with confidence exactly 0.07 not mined")
+	}
+	if r.BodyCount != 100 || r.HitCount != 7 {
+		t.Errorf("{A} → ⟨T,$6⟩ = N%d hits%d, want N100 hits7", r.BodyCount, r.HitCount)
 	}
 }

@@ -82,7 +82,7 @@ func TestMineSimpleCounts(t *testing.T) {
 		f.txn(f.t5, 1, f.a1),
 		f.txn(f.t5, 1, f.b1),
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMineNoMOAExactHits(t *testing.T) {
 		f.txn(f.t6, 1, f.a2),
 		f.txn(f.t5, 1, f.a1),
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestMineMinSupportPrunes(t *testing.T) {
 	}
 	txns = append(txns, f.txn(f.t5, 1, f.b1)) // B appears once in 11
 
-	res, err := Mine(f.space, txns, Options{MinSupport: 0.15})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupport: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMineBuyingMOAProfit(t *testing.T) {
 	// One transaction recorded at $6, qty 2. Recommending $5 under buying
 	// MOA keeps spending 12 → qty 2.4 → profit 2.4 × 2 = 4.8.
 	txns := []model.Transaction{f.txn(f.t6, 2, f.a1)}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1, Quantity: model.BuyingMOA{}})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, Quantity: model.BuyingMOA{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMineBuyingMOAProfit(t *testing.T) {
 		t.Fatalf("buying-MOA profit = %+v, want 4.8", r)
 	}
 	// Saving MOA keeps qty 2 → profit 4.
-	res2, err := Mine(f.space, txns, Options{MinSupportCount: 1})
+	res2, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMineBinaryProfit(t *testing.T) {
 		f.txn(f.t6, 3, f.a1),
 		f.txn(f.t5, 1, f.a1),
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1, BinaryProfit: true})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, BinaryProfit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestMineAntichainBodies(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		txns = append(txns, f.txn(f.t5, 1, f.a2, f.b1))
 	}
-	res, err := Mine(f.space, txns, Options{MinSupportCount: 1, MaxBodyLen: 3})
+	res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, MaxBodyLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestMineMaxBodyLen(t *testing.T) {
 		txns = append(txns, f.txn(f.t5, 1, f.a1, f.b1, f.c1))
 	}
 	for _, maxLen := range []int{1, 2, 3} {
-		res, err := Mine(f.space, txns, Options{MinSupportCount: 1, MaxBodyLen: maxLen})
+		res, err := mineExhaustive(f.space, txns, Options{MinSupportCount: 1, MaxBodyLen: maxLen})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,24 +457,35 @@ func naiveMine(space *hierarchy.Space, txns []model.Transaction, minCount, maxLe
 	return out
 }
 
-// TestMineAgainstNaiveReference checks Mine against brute force. The
-// first 20 trials are a few transactions each; the last 4 hold
-// 2,100–3,100, so they span three or four counting shards and end on a
-// partial bitset word.
-func TestMineAgainstNaiveReference(t *testing.T) {
+// trial is one randomized input of the reference tests: a space, its
+// transactions and an absolute support threshold.
+type trial struct {
+	index    int
+	moa      bool
+	space    *hierarchy.Space
+	txns     []model.Transaction
+	minCount int
+}
+
+// flatTrials returns the inputs of TestMineAgainstNaiveReference over the
+// flat fixture. The first 20 trials are a few transactions each; the
+// last 4 hold 2,100–3,100, so they span three or four counting shards and
+// end on a partial bitset word.
+func flatTrials(tb testing.TB) []trial {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 24; trial++ {
-		moa := trial%2 == 0
-		f := newFixture(t, moa)
+	var out []trial
+	for i := 0; i < 24; i++ {
+		moa := i%2 == 0
+		f := newFixture(tb, moa)
 		promos := []model.PromoID{f.a1, f.a2, f.b1, f.c1}
 		targets := []model.PromoID{f.t5, f.t6}
 
 		var txns []model.Transaction
 		n := 5 + rng.Intn(20)
-		if trial >= 20 {
+		if i >= 20 {
 			n = 2100 + rng.Intn(1001)
 		}
-		for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			var nt []model.PromoID
 			for _, p := range promos {
 				if rng.Float64() < 0.4 {
@@ -487,33 +498,48 @@ func TestMineAgainstNaiveReference(t *testing.T) {
 			txns = append(txns, f.txn(targets[rng.Intn(2)], float64(1+rng.Intn(3)), nt...))
 		}
 		minCount := 1 + rng.Intn(3)
-		if trial >= 20 {
+		if i >= 20 {
 			minCount = 1 + rng.Intn(n/4) // prunes some bodies and heads
 		}
+		out = append(out, trial{index: i, moa: moa, space: f.space, txns: txns, minCount: minCount})
+	}
+	return out
+}
 
-		res, err := Mine(f.space, txns, Options{MinSupportCount: minCount, MaxBodyLen: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveMine(f.space, txns, minCount, 3, nil)
+// checkAgainstNaive checks a trial's exhaustive mine against brute force.
+func checkAgainstNaive(t *testing.T, tr trial) {
+	t.Helper()
+	trial, moa, txns, minCount := tr.index, tr.moa, tr.txns, tr.minCount
+	res, err := mineExhaustive(tr.space, txns, Options{MinSupportCount: minCount, MaxBodyLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naiveMine(tr.space, txns, minCount, 3, nil)
 
-		got := map[string]*rules.Rule{}
-		for _, r := range res.Rules {
-			got[rules.BodyKey(r.Body)+"|"+rules.BodyKey([]hierarchy.GenID{r.Head})] = r
+	got := map[string]*rules.Rule{}
+	for _, r := range res.Rules {
+		got[rules.BodyKey(r.Body)+"|"+rules.BodyKey([]hierarchy.GenID{r.Head})] = r
+	}
+	if len(got) != len(want) {
+		t.Fatalf("trial %d (moa=%v): %d rules, reference has %d", trial, moa, len(got), len(want))
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Fatalf("trial %d: missing rule %s", trial, w.String(tr.space))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (moa=%v): %d rules, reference has %d", trial, moa, len(got), len(want))
+		if g.BodyCount != w.BodyCount || g.HitCount != w.HitCount || math.Abs(g.Profit-w.Profit) > 1e-9 {
+			t.Fatalf("trial %d: rule %s: got N%d/h%d/p%g, want N%d/h%d/p%g",
+				trial, w.String(tr.space), g.BodyCount, g.HitCount, g.Profit, w.BodyCount, w.HitCount, w.Profit)
 		}
-		for k, w := range want {
-			g, ok := got[k]
-			if !ok {
-				t.Fatalf("trial %d: missing rule %s", trial, w.String(f.space))
-			}
-			if g.BodyCount != w.BodyCount || g.HitCount != w.HitCount || math.Abs(g.Profit-w.Profit) > 1e-9 {
-				t.Fatalf("trial %d: rule %s: got N%d/h%d/p%g, want N%d/h%d/p%g",
-					trial, w.String(f.space), g.BodyCount, g.HitCount, g.Profit, w.BodyCount, w.HitCount, w.Profit)
-			}
-		}
+	}
+}
+
+// TestMineAgainstNaiveReference checks the exhaustive miner against brute
+// force over the flat fixture's trials.
+func TestMineAgainstNaiveReference(t *testing.T) {
+	for _, tr := range flatTrials(t) {
+		checkAgainstNaive(t, tr)
 	}
 }
 

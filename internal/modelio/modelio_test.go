@@ -23,7 +23,7 @@ import (
 
 // buildGrocery trains a recommender on the grocery dataset with its
 // hierarchy.
-func buildGrocery(t *testing.T) (*datagen.Grocery, *dataio.HierarchySpec, *core.Recommender) {
+func buildGrocery(t testing.TB) (*datagen.Grocery, *dataio.HierarchySpec, *core.Recommender) {
 	t.Helper()
 	g := datagen.NewGrocery(1200, 7)
 	spec := &dataio.HierarchySpec{
@@ -60,7 +60,7 @@ func buildGrocery(t *testing.T) (*datagen.Grocery, *dataio.HierarchySpec, *core.
 }
 
 // sealGrocery builds the grocery model and returns its sealed image.
-func sealGrocery(t *testing.T) (*datagen.Grocery, *core.Recommender, []byte) {
+func sealGrocery(t testing.TB) (*datagen.Grocery, *core.Recommender, []byte) {
 	t.Helper()
 	g, _, rec := buildGrocery(t)
 	image, err := Seal(g.Dataset.Catalog, rec)
@@ -222,7 +222,7 @@ func patchI32(image []byte, sec, ix int, v int32) []byte {
 // scanned the interior.
 func TestLoadErrors(t *testing.T) {
 	_, rec, image := sealGrocery(t)
-	meta, trie, alt := rec.Sealed().Meta(), rec.Sealed().Trie(), rec.Sealed().Alternates()
+	meta, alt := rec.Sealed().Meta(), rec.Sealed().Alternates()
 	if len(alt.Rules) == 0 || meta.NumRules < 3 {
 		t.Fatal("test model needs alternates and at least three rules")
 	}
@@ -231,10 +231,27 @@ func TestLoadErrors(t *testing.T) {
 	if _, _, err := LoadBytes(restamp(append([]byte(nil), image...))); err != nil {
 		t.Fatalf("re-stamped pristine image: %v", err)
 	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
+	for _, tc := range badImages(rec, image) {
+		_, _, err := LoadBytes(tc.data)
+		if err == nil {
+			t.Errorf("%s: loaded", tc.name)
+		} else if strings.Contains(err.Error(), "checksum") {
+			t.Errorf("%s: failed on the digest, not the content: %v", tc.name, err)
+		}
+	}
+}
+
+// badImage is a named input LoadBytes must refuse.
+type badImage struct {
+	name string
+	data []byte
+}
+
+// badImages returns non-images and patched copies of rec's sealed image
+// whose interior points outside its columns under a re-stamped digest.
+func badImages(rec *core.Recommender, image []byte) []badImage {
+	meta, trie, alt := rec.Sealed().Meta(), rec.Sealed().Trie(), rec.Sealed().Alternates()
+	return []badImage{
 		{"not an image", []byte("not a model")},
 		{"header only", image[:arena.HeaderPrefixLen]},
 		{"matcher ChildHi[0] past the nodes", patchI32(image, arena.SecTrieChildHi, 0, int32(len(trie.Item)+1))},
@@ -244,14 +261,6 @@ func TestLoadErrors(t *testing.T) {
 		{"BodyOff[1] past the body pool", patchI32(image, arena.SecRuleBodyOff, 1, 1<<30)},
 		{"string offset [1] past the string pool", patchI32(image, arena.SecRuleStrOff, 1, 1<<30)},
 		{"alternate's head item outside the catalog", patchI32(image, arena.SecRuleHeadItem, int(alt.Rules[len(alt.Rules)-1]), int32(meta.NumItems+1))},
-	}
-	for _, tc := range cases {
-		_, _, err := LoadBytes(tc.data)
-		if err == nil {
-			t.Errorf("%s: loaded", tc.name)
-		} else if strings.Contains(err.Error(), "checksum") {
-			t.Errorf("%s: failed on the digest, not the content: %v", tc.name, err)
-		}
 	}
 }
 

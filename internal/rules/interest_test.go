@@ -59,3 +59,18 @@ func TestFilterInterestingNoGeneralizations(t *testing.T) {
 		t.Error("rules without generalizations must always survive")
 	}
 }
+
+// TestFilterInterestingSiblingHeadsDoNotVeto checks that the other heads
+// of a rule's own body are not counted as its generalizations: two heads
+// of {A} that both beat the default rule by the factor both survive,
+// though each is within the factor of the other.
+func TestFilterInterestingSiblingHeadsDoNotVeto(t *testing.T) {
+	ts := newTestSpace(t)
+	t5 := &Rule{Body: []hierarchy.GenID{ts.aN}, Head: ts.t5, BodyCount: 10, HitCount: 5, Profit: 10, Order: 0} // ProfRe 1.0
+	t6 := &Rule{Body: []hierarchy.GenID{ts.aN}, Head: ts.t6, BodyCount: 10, HitCount: 3, Profit: 9, Order: 1}  // ProfRe 0.9
+	def := &Rule{Head: ts.t5, BodyCount: 20, HitCount: 2, Profit: 2, Order: 2}                                 // ProfRe 0.1
+	kept := FilterInteresting(ts.s, []*Rule{t5, t6, def}, 1.5)
+	if len(kept) != 3 {
+		t.Fatalf("kept %d rules, want all 3: same-body heads are siblings, not generalizations", len(kept))
+	}
+}

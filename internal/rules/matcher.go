@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"sort"
 
 	"profitmining/internal/hierarchy"
@@ -251,7 +252,7 @@ func (f *flatTrie) bestWalk(lo, hi int32, xs []hierarchy.GenID, best *Rule) *Rul
 	for ni < hi && xi < len(xs) {
 		switch {
 		case f.item[ni] < xs[xi]:
-			ni++
+			ni = f.seek(ni, hi, xs[xi])
 		case f.item[ni] > xs[xi]:
 			xi++
 		default:
@@ -268,6 +269,31 @@ func (f *flatTrie) bestWalk(lo, hi int32, xs []hierarchy.GenID, best *Rule) *Rul
 		}
 	}
 	return best
+}
+
+// seek returns the first node in (ni, hi) whose item is at least g, or
+// hi; node ni's item is below g. It gallops: steps of 1, 2, 4, … past
+// smaller items, then a binary search in the last step. A short query
+// against a wide sibling block — the miner's check of a body's
+// expansion against the first elements of thousands of rules — skips
+// the block in O(log) steps instead of scanning it, and a dense walk
+// still advances about one node at a time.
+func (f *flatTrie) seek(ni, hi int32, g hierarchy.GenID) int32 {
+	step := int32(1)
+	for ni+step < hi && f.item[ni+step] < g {
+		ni += step
+		step *= 2
+	}
+	lo, up := ni+1, min(ni+step, hi)
+	for lo < up {
+		mid := int32(uint32(lo+up) >> 1)
+		if f.item[mid] < g {
+			lo = mid + 1
+		} else {
+			up = mid
+		}
+	}
+	return lo
 }
 
 // MatchAllRules calls fn for every rule in the matcher, in trie order.
@@ -365,7 +391,7 @@ func AppendExpandBody(s *hierarchy.Space, body []hierarchy.GenID, buf []hierarch
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, g := range out {
 		if i == 0 || g != out[w-1] {

@@ -180,3 +180,59 @@ func TestRemoveDominatedMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestMatcherBestMatchesBruteForce checks the sealed matcher's Best
+// against a scan of every rule, on a trie whose sibling blocks are wide
+// (hundreds of distinct first elements) under short and long queries,
+// so the walk both skips long runs and advances node by node.
+func TestMatcherBestMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	randomSet := func(n, universe int) []hierarchy.GenID {
+		seen := map[hierarchy.GenID]bool{}
+		var xs []hierarchy.GenID
+		for len(xs) < n {
+			if g := hierarchy.GenID(1 + rng.Intn(universe)); !seen[g] {
+				seen[g] = true
+				xs = append(xs, g)
+			}
+		}
+		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		return xs
+	}
+	var rs []*Rule
+	for i := 0; i < 2000; i++ {
+		rs = append(rs, &Rule{Body: randomSet(1+rng.Intn(3), 600), BodyCount: 10, HitCount: 1 + rng.Intn(10), Profit: float64(rng.Intn(50)), Order: i})
+	}
+	m := NewMatcher(rs)
+	for q := 0; q < 3000; q++ {
+		n := 1 + rng.Intn(12)
+		if q%10 == 0 {
+			n = 100 + rng.Intn(300)
+		}
+		xs := randomSet(n, 600)
+		var want *Rule
+		for _, r := range rs {
+			if isSubset(r.Body, xs) && (want == nil || Outranks(r, want)) {
+				want = r
+			}
+		}
+		if got := m.Best(xs); got != want {
+			t.Fatalf("query %d (%d elements): Best = %v, want %v", q, len(xs), got, want)
+		}
+	}
+}
+
+// isSubset reports whether sorted a is a subset of sorted b.
+func isSubset(a, b []hierarchy.GenID) bool {
+	j := 0
+	for _, g := range a {
+		for j < len(b) && b[j] < g {
+			j++
+		}
+		if j == len(b) || b[j] != g {
+			return false
+		}
+		j++
+	}
+	return true
+}

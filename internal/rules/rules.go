@@ -7,6 +7,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,9 +171,11 @@ func RemoveDominated(s *hierarchy.Space, rs []*Rule) []*Rule {
 // R-interest idea of Srikant–Agrawal's generalized rule mining [SA95]
 // carried over from support to Prof_re: a specialization that does not
 // improve the per-recommendation profit of its generalizations carries no
-// actionable information. Rules with no proper generalization (including
-// the default rule) are always kept. r ≤ 1 keeps any improvement;
-// typical values are 1.1–2.
+// actionable information. A strictly more general rule has a different
+// body: the other heads of a rule's own body are its siblings, not its
+// generalizations, and never veto it. Rules with no proper
+// generalization (including the default rule) are always kept. r ≤ 1
+// keeps any improvement; typical values are 1.1–2.
 func FilterInteresting(s *hierarchy.Space, rs []*Rule, r float64) []*Rule {
 	m := NewMatcher(rs)
 	var kept []*Rule
@@ -180,7 +183,7 @@ func FilterInteresting(s *hierarchy.Space, rs []*Rule, r float64) []*Rule {
 		bestGeneral := 0.0
 		found := false
 		m.MatchAll(ExpandBody(s, rule.Body), func(g *Rule) {
-			if g == rule {
+			if slices.Equal(g.Body, rule.Body) {
 				return
 			}
 			found = true
