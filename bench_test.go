@@ -14,6 +14,7 @@
 package profitmining_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"profitmining"
+	"profitmining/internal/arena"
 	"profitmining/internal/core"
 	"profitmining/internal/eval"
 	"profitmining/internal/mining"
@@ -367,6 +369,192 @@ func BenchmarkScalabilityBuildTime(b *testing.B) {
 		}
 	}
 	printPanel("scalability", "Section 5.3: execution time dominated by rule generation", report.String())
+}
+
+// ---- CI gates: a property checked at a fixed input and bound ----
+//
+// Each gate runs its whole input once per iteration and fails when its
+// property breaks; CI runs them with -benchtime 1x. Inputs and bounds
+// are constants, not read from the environment, so every run checks
+// the same thing.
+
+// gateDatasetI generates Dataset I at the given scale with the seeds
+// cmd/profitbench uses by default.
+func gateDatasetI(b *testing.B, txns, items int) *profitmining.Dataset {
+	b.Helper()
+	ds, err := profitmining.GenerateDatasetI(profitmining.QuestConfig{
+		NumTransactions: txns, NumItems: items, Seed: 1,
+	}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// modelBytes returns what the determinism gates compare: the model's v2
+// export followed by its sealed image.
+func modelBytes(b *testing.B, cat *profitmining.Catalog, rec *profitmining.Recommender) []byte {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := profitmining.WriteModel(&buf, cat, nil, rec); err != nil {
+		b.Fatal(err)
+	}
+	buf.Write(rec.Sealed().Bytes())
+	return buf.Bytes()
+}
+
+// BenchmarkParallelBuild builds Dataset I at 8,000 × 120 and 0.1%
+// support serially and with four workers and fails unless the two
+// models are byte-identical: TestParallelBuildIsByteIdentical's
+// contract at a scale where every counting and projection pass spans
+// several shards. Both build times are reported; the speedup depends on
+// the host's cores.
+func BenchmarkParallelBuild(b *testing.B) {
+	ds := gateDatasetI(b, 8000, 120)
+	for i := 0; i < b.N; i++ {
+		var built [2][]byte
+		for j, workers := range []int{1, 4} {
+			start := time.Now()
+			rec, err := profitmining.Build(ds, profitmining.Options{
+				MinSupport: 0.001, MaxBodyLen: 3, Parallelism: workers,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(time.Since(start).Seconds(), fmt.Sprintf("build-s/workers=%d", workers))
+			built[j] = modelBytes(b, ds.Catalog, rec)
+		}
+		if !bytes.Equal(built[0], built[1]) {
+			b.Fatalf("the 4-worker build differs from the serial build (%d vs %d bytes)", len(built[1]), len(built[0]))
+		}
+	}
+}
+
+// maxAvgSlideSeconds bounds the average slide of
+// BenchmarkIncrementalSlide. CI runs it at GOMAXPROCS=1, where a slide
+// re-mines and rebuilds the whole 16,384-transaction window on one
+// core; the bound is a regression gate on that cost, not a measurement.
+const maxAvgSlideSeconds = 1.4
+
+// BenchmarkIncrementalSlide maintains a model over a 16,384-transaction
+// window of Dataset I (1,000 items, 0.4% support) through four slides
+// of 1,024. After every slide it rebuilds the same window from scratch
+// and fails unless the two models are byte-identical, and it fails if
+// the average slide takes longer than maxAvgSlideSeconds.
+func BenchmarkIncrementalSlide(b *testing.B) {
+	const window, slide, slides = 16384, 1024, 4
+	ds := gateDatasetI(b, window+slide*slides, 1000)
+	opts := profitmining.Options{MinSupport: 0.004, MaxBodyLen: 3}
+	for i := 0; i < b.N; i++ {
+		inc, err := profitmining.NewIncremental(&profitmining.Dataset{
+			Catalog: ds.Catalog, Transactions: ds.Transactions[:window],
+		}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var slideTime time.Duration
+		for at := window; at < window+slide*slides; at += slide {
+			start := time.Now()
+			rec, err := inc.Slide(ds.Transactions[at : at+slide])
+			if err != nil {
+				b.Fatal(err)
+			}
+			slideTime += time.Since(start)
+			full, err := profitmining.Build(&profitmining.Dataset{Catalog: ds.Catalog, Transactions: inc.Window()}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Equal(modelBytes(b, ds.Catalog, rec), modelBytes(b, ds.Catalog, full)) {
+				b.Fatalf("slide at %d: the maintained model differs from a rebuild of its window", at)
+			}
+		}
+		avg := slideTime.Seconds() / slides
+		b.ReportMetric(avg, "s/slide")
+		if avg > maxAvgSlideSeconds {
+			b.Fatalf("average slide %.3fs exceeds the %.1fs bound", avg, maxAvgSlideSeconds)
+		}
+	}
+}
+
+// maxOpenRatio bounds how much longer BenchmarkSealedOpen's largest
+// image may take to open than its smallest.
+const maxOpenRatio = 2
+
+// BenchmarkSealedOpen times opening a sealed image held in memory,
+// arena.OpenBytes plus core.FromSealed, at three Dataset I scales whose
+// images span about 22× in size. Opening must stay O(1) in model size:
+// the gate fails if the largest image opens more than maxOpenRatio
+// times slower than the smallest, or if the scales differ in
+// allocations per open. Reading a file and Verify are O(file) and are
+// not timed here.
+func BenchmarkSealedOpen(b *testing.B) {
+	scales := []struct {
+		txns, items int
+		minsup      float64
+	}{
+		{2000, 100, 0.03},
+		{8000, 400, 0.004},
+		{16000, 800, 0.0015},
+	}
+	images := make([][]byte, len(scales))
+	final := make([]int, len(scales))
+	for i, sc := range scales {
+		rec, err := profitmining.Build(gateDatasetI(b, sc.txns, sc.items),
+			profitmining.Options{MinSupport: sc.minsup, MaxBodyLen: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		images[i], final[i] = rec.Sealed().Bytes(), rec.Stats().RulesFinal
+	}
+	open := func(i int) {
+		m, err := arena.OpenBytes(images[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := core.FromSealed(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.Stats().RulesFinal != final[i] {
+			b.Fatalf("scale %d: the opened image holds %d final rules, the build %d", i, rec.Stats().RulesFinal, final[i])
+		}
+	}
+	// The best of several rounds, the scales interleaved within each, so
+	// host noise cannot land on one scale alone and decide the ratio.
+	const rounds, opensPerRound = 10, 1000
+	for n := 0; n < b.N; n++ {
+		best := make([]time.Duration, len(images))
+		for r := 0; r < rounds; r++ {
+			for i := range images {
+				start := time.Now()
+				for k := 0; k < opensPerRound; k++ {
+					open(i)
+				}
+				if d := time.Since(start) / opensPerRound; r == 0 || d < best[i] {
+					best[i] = d
+				}
+			}
+		}
+		allocs := make([]int, len(images))
+		for i := range images {
+			allocs[i] = int(testing.AllocsPerRun(100, func() { open(i) }))
+			b.ReportMetric(float64(best[i].Nanoseconds()), fmt.Sprintf("open-ns/%.1fMiB", float64(len(images[i]))/(1<<20)))
+		}
+		last := len(images) - 1
+		ratio := float64(best[last]) / float64(best[0])
+		b.ReportMetric(ratio, "open-ratio")
+		b.ReportMetric(float64(allocs[last]), "allocs/open")
+		if ratio > maxOpenRatio {
+			b.Errorf("the %.1f MiB image opens %.2fx slower than the %.1f MiB one (bound %dx): open is not O(1) in model size",
+				float64(len(images[last]))/(1<<20), ratio, float64(len(images[0]))/(1<<20), maxOpenRatio)
+		}
+		for _, a := range allocs {
+			if a != allocs[0] {
+				b.Errorf("allocations per open differ across scales: %v", allocs)
+				break
+			}
+		}
+	}
 }
 
 // ---- ablation benches for the design choices called out in DESIGN.md ----

@@ -14,6 +14,7 @@ import (
 
 	"profitmining"
 	"profitmining/internal/cluster"
+	"profitmining/internal/core"
 	"profitmining/internal/feedback"
 	"profitmining/internal/registry"
 	"profitmining/internal/serve"
@@ -87,7 +88,7 @@ func runClusterBench(name string, txns, items int, minsup float64, maxLen int, s
 	}
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()
-	coord.SetModel(rec.Sealed().Arena().Bytes())
+	coord.SetModel(rec.Sealed().Bytes())
 
 	stacks := make([]*benchStack, clusterReplicas)
 	urls := make([]string, clusterReplicas)
@@ -400,4 +401,77 @@ func replayBothWays(stacks []*benchStack) bool {
 		return out
 	}
 	return bytes.Equal(fold(false), fold(true))
+}
+
+// batchSize is how many baskets each measured /recommend/batch request
+// carries.
+const batchSize = 64
+
+// probeBaskets extracts up to n deterministic probe baskets (the
+// non-target sales of the dataset's own transactions).
+func probeBaskets(ds *profitmining.Dataset, n int) []profitmining.Basket {
+	var out []profitmining.Basket
+	for _, txn := range ds.Transactions {
+		if len(txn.NonTarget) == 0 {
+			continue
+		}
+		out = append(out, profitmining.Basket(txn.NonTarget))
+		if len(out) == n {
+			break
+		}
+	}
+	return out
+}
+
+// saleReq / recReq / batchReq mirror the serve package's JSON request
+// shapes (items by name, promotion codes by per-item index).
+type saleReq struct {
+	Item    string  `json:"item"`
+	PromoIx int     `json:"promoIx"`
+	Qty     float64 `json:"qty,omitempty"`
+}
+
+type recReq struct {
+	Basket []saleReq `json:"basket"`
+	K      int       `json:"k,omitempty"`
+}
+
+type batchReq struct {
+	Baskets []recReq `json:"baskets"`
+}
+
+func toRecReq(cat *profitmining.Catalog, bk profitmining.Basket, k int) recReq {
+	req := recReq{K: k}
+	for _, sl := range bk {
+		req.Basket = append(req.Basket, saleReq{
+			Item:    cat.Item(sl.Item).Name,
+			PromoIx: core.PromoIndex(cat, sl.Item, sl.Promo),
+			Qty:     sl.Qty,
+		})
+	}
+	return req
+}
+
+func batchPayload(cat *profitmining.Catalog, baskets []profitmining.Basket, size int) []byte {
+	var req batchReq
+	for i := 0; i < size; i++ {
+		req.Baskets = append(req.Baskets, toRecReq(cat, baskets[i%len(baskets)], 2))
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		fail(err)
+	}
+	return data
+}
+
+// percentile returns the p-quantile of ascending xs (nearest-rank).
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(xs)))
+	if i >= len(xs) {
+		i = len(xs) - 1
+	}
+	return xs[i]
 }

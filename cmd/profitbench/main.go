@@ -9,16 +9,18 @@
 // A laptop-sized run preserving the shapes:
 //
 //	profitbench -dataset I -txns 10000 -items 200
+//
+// Two other modes gate the serving tier instead of running the sweep:
+// -clusterbench (an in-process replica fleet behind a coordinator) and
+// -soakbench (the closed-loop traffic soak). Each writes a JSON report
+// and exits nonzero when a gate fails.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -41,33 +43,6 @@ func main() {
 		knnK     = flag.Int("k", 5, "kNN neighbor count")
 		csvDir   = flag.String("csv", "", "also write raw sweep points as CSV into this directory")
 		par      = flag.Int("parallel", 0, "per-build worker count (0 = one per CPU, 1 = serial; identical output either way)")
-
-		parCheck   = flag.Bool("parcheck", false, "instead of the figure sweep, build serial vs parallel, verify byte-identical models and report timings")
-		parWorkers = flag.Int("parworkers", 4, "parallel-build worker count for -parcheck")
-		parOut     = flag.String("parout", "BENCH_parallel.json", "where -parcheck writes its JSON report")
-
-		serveBench = flag.Bool("servebench", false, "instead of the figure sweep, benchmark the recommend hot path and serving endpoints, enforce the 0-alloc budget and write a JSON report")
-		serveReqs  = flag.Int("servereqs", 200, "batch requests timed for the -servebench latency percentiles")
-		serveOut   = flag.String("serveout", "BENCH_serve.json", "where -servebench writes its JSON report")
-
-		incBench  = flag.Bool("incbench", false, "instead of the figure sweep, benchmark incremental window maintenance against full rebuilds, enforce byte-identity and write a JSON report")
-		incWindow = flag.Int("incwindow", 16384, "window size for -incbench")
-		incSlide  = flag.Int("incslide", 1024, "transactions per slide for -incbench")
-		incSlides = flag.Int("incslides", 4, "number of slides timed by -incbench")
-		incItems  = flag.Int("incitems", 1000, "number of non-target items for -incbench")
-		incMinsup = flag.Float64("incminsup", 0.004, "minimum support for -incbench")
-		incOut    = flag.String("incout", "BENCH_incremental.json", "where -incbench writes its JSON report")
-
-		feedBench   = flag.Bool("feedbench", false, "instead of the figure sweep, benchmark the feedback outcome log (append + replay), verify replay reproduces the statistics and write a JSON report")
-		feedRecords = flag.Int("feedrecords", 50000, "outcomes appended by -feedbench")
-		feedSync    = flag.Int("feedsync", 0, "fsync policy for -feedbench (0 = OS-buffered, 1 = fsync per record)")
-		feedSeg     = flag.Int64("feedseg", 4<<20, "segment size in bytes for -feedbench (small enough to exercise rotation)")
-		feedOut     = flag.String("feedout", "BENCH_feedback.json", "where -feedbench writes its JSON report")
-
-		loadBench = flag.Bool("loadbench", false, "instead of the figure sweep, benchmark the cold sealed zero-copy open across three model sizes, enforce the O(1)-open gate and write a JSON report")
-		loadIters = flag.Int("loaditers", 5, "load repetitions timed per size by -loadbench")
-		loadRatio = flag.Float64("loadratio", 2, "maximum sealed-open slowdown from smallest to largest model -loadbench enforces")
-		loadOut   = flag.String("loadout", "BENCH_load.json", "where -loadbench writes its JSON report")
 
 		clusterBench = flag.Bool("clusterbench", false, "instead of the figure sweep, stand up an in-process replica fleet + coordinator, enforce the distributed tier's acceptance gates and write a JSON report")
 		clusterReqs  = flag.Int("clusterreqs", 200, "batch requests timed per tier by -clusterbench")
@@ -107,26 +82,6 @@ func main() {
 		fail(fmt.Errorf("unknown dataset %q", *dataset))
 	}
 
-	if *parCheck {
-		runParCheck(names[0], *txns, *items, sups[0], *maxLen, *seed, *parWorkers, *parOut)
-		return
-	}
-	if *serveBench {
-		runServeBench(names[0], *txns, *items, sups[0], *maxLen, *seed, *serveReqs, *serveOut)
-		return
-	}
-	if *incBench {
-		runIncBench(names[0], *txns, *incItems, *incMinsup, *maxLen, *seed, *incWindow, *incSlide, *incSlides, *incOut)
-		return
-	}
-	if *feedBench {
-		runFeedBench(*feedRecords, *feedSync, *feedSeg, *seed, *feedOut)
-		return
-	}
-	if *loadBench {
-		runLoadBench(*seed, *loadIters, *loadRatio, *loadOut)
-		return
-	}
 	if *clusterBench {
 		runClusterBench(names[0], *txns, *items, sups[0], *maxLen, *seed, *clusterReqs, *clusterRatio, *clusterOut)
 		return
@@ -147,79 +102,6 @@ func main() {
 	for _, name := range names {
 		runDataset(name, *txns, *items, sups, *rangeSup, *folds, *maxLen, *seed, *knnK, *par, *csvDir)
 	}
-}
-
-// parReport is the schema of the -parcheck JSON artifact consumed by CI.
-type parReport struct {
-	Dataset              string  `json:"dataset"`
-	Txns                 int     `json:"txns"`
-	Items                int     `json:"items"`
-	MinSupport           float64 `json:"minSupport"`
-	Workers              int     `json:"workers"`
-	GOMAXPROCS           int     `json:"gomaxprocs"`
-	SerialBuildSeconds   float64 `json:"serialBuildSeconds"`
-	ParallelBuildSeconds float64 `json:"parallelBuildSeconds"`
-	Speedup              float64 `json:"speedup"`
-	Identical            bool    `json:"identical"`
-}
-
-// runParCheck builds the same model twice — strictly serial and with the
-// requested worker count — and verifies the serialized models are
-// byte-identical. Divergence is a hard failure (exit 1); the timings are
-// informational, since the achievable speedup depends on the host's CPU
-// count.
-func runParCheck(name string, txns, items int, minsup float64, maxLen int, seed int64, workers int, out string) {
-	ds := genDataset(name, txns, items, seed)
-	build := func(parallelism int) (*profitmining.Recommender, float64, []byte) {
-		start := time.Now()
-		rec, err := profitmining.Build(ds, profitmining.Options{
-			MinSupport:  minsup,
-			MaxBodyLen:  maxLen,
-			Parallelism: parallelism,
-		})
-		if err != nil {
-			fail(err)
-		}
-		secs := time.Since(start).Seconds()
-		var buf bytes.Buffer
-		if err := profitmining.WriteModel(&buf, ds.Catalog, nil, rec); err != nil {
-			fail(err)
-		}
-		return rec, secs, buf.Bytes()
-	}
-
-	recSerial, serialSecs, serialBytes := build(1)
-	_, parSecs, parBytes := build(workers)
-
-	rep := parReport{
-		Dataset:              name,
-		Txns:                 txns,
-		Items:                items,
-		MinSupport:           minsup,
-		Workers:              workers,
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		SerialBuildSeconds:   serialSecs,
-		ParallelBuildSeconds: parSecs,
-		Speedup:              safeRatio(serialSecs, parSecs),
-		Identical:            bytes.Equal(serialBytes, parBytes),
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fail(err)
-	}
-
-	fmt.Printf("parcheck: dataset %s |T|=%d |I|=%d minsup %g, %d rules\n",
-		name, txns, items, minsup, recSerial.Stats().RulesFinal)
-	fmt.Printf("parcheck: serial %.2fs, %d workers %.2fs (%.2fx on %d CPUs); report: %s\n",
-		serialSecs, workers, parSecs, rep.Speedup, rep.GOMAXPROCS, out)
-	if !rep.Identical {
-		fail(fmt.Errorf("parallel build (%d workers) diverged from the serial model", workers))
-	}
-	fmt.Println("parcheck: parallel model byte-identical to serial")
 }
 
 // genDataset generates synthetic dataset I or II at the given scale.

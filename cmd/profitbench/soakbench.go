@@ -459,7 +459,7 @@ func runSoakCluster(ds *profitmining.Dataset, truth *datagen.GroundTruth, p soak
 		// replica pull.
 		opReg, err := registry.New(registry.Options{
 			OnPromote: func(snap *registry.Snapshot) {
-				coord.SetModel(snap.Rec.Sealed().Arena().Bytes())
+				coord.SetModel(snap.Rec.Sealed().Bytes())
 			},
 		})
 		if err != nil {

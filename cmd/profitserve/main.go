@@ -121,7 +121,6 @@ func main() {
 		nodeID   = flag.String("node-id", "", "replica's stable cluster identity (default: hostname + -addr)")
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs the coordinator fronts")
 		spoolDir = flag.String("spool-dir", "", "coordinator directory for shipped WAL segments (empty = in-memory spool, lost on restart)")
-		sharded  = flag.Bool("sharded", false, "coordinator routes each basket by consistent hash of its item set (for catalogs sharded across replicas)")
 	)
 	flag.Parse()
 
@@ -132,7 +131,6 @@ func main() {
 			addr:      *addr,
 			replicas:  *replicas,
 			spoolDir:  *spoolDir,
-			sharded:   *sharded,
 			modelPath: *modelPath,
 			dataPath:  *dataPath,
 			minsup:    *minsup,
@@ -379,7 +377,6 @@ type coordinatorFlags struct {
 	addr      string
 	replicas  string
 	spoolDir  string
-	sharded   bool
 	modelPath string
 	dataPath  string
 	minsup    float64
@@ -410,7 +407,6 @@ func runCoordinator(f coordinatorFlags) {
 	var refresher atomic.Pointer[incremental.Refresher]
 	cfg := cluster.CoordinatorConfig{
 		Replicas: fleet,
-		Sharded:  f.sharded,
 		SpoolDir: f.spoolDir,
 		Drift:    f.drift,
 		Logf:     log.Printf,
@@ -451,7 +447,7 @@ func runCoordinator(f coordinatorFlags) {
 		if err != nil {
 			fail(fmt.Errorf("loading %s: %w", f.modelPath, err))
 		}
-		coord.SetModel(rec.Sealed().Arena().Bytes())
+		coord.SetModel(rec.Sealed().Bytes())
 	case f.dataPath != "":
 		ds, spec, err := profitmining.LoadDataset(f.dataPath)
 		if err != nil {
@@ -469,7 +465,7 @@ func runCoordinator(f coordinatorFlags) {
 		// fleet.
 		reg, err := registry.New(registry.Options{
 			OnPromote: func(snap *registry.Snapshot) {
-				coord.SetModel(snap.Rec.Sealed().Arena().Bytes())
+				coord.SetModel(snap.Rec.Sealed().Bytes())
 			},
 		})
 		if err != nil {

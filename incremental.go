@@ -23,9 +23,6 @@ type Incremental struct {
 
 // NewIncremental builds the initial model over ds.Transactions, which
 // become the sliding window; the window capacity is the initial length.
-// The options must include a support threshold (MinSupport or
-// MinSupportCount); the windowed model does not take profit-only
-// pruning.
 func NewIncremental(ds *Dataset, opts Options) (*Incremental, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("profitmining: nil dataset")

@@ -5,147 +5,29 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"sync/atomic"
 )
 
-// Options controls how a sealed file is opened.
-type Options struct {
-	// NoMmap forces the pure-Go ReadFile path even when the build
-	// supports mmap — tests exercise the fallback this way under -race
-	// without a separate build.
-	NoMmap bool
-}
-
-// Arena owns the raw bytes of one sealed model: either a read-only
-// shared mapping or a heap buffer from the ReadFile fallback. Views
-// handed out by the Model alias these bytes directly, and the Model
-// keeps its Arena reachable, so views stay valid until the last
-// reference to the Model is gone — at which point the finalizer
-// unmaps. Close may be called explicitly (tests, CLIs); it is
-// idempotent and must not race in-flight readers.
-type Arena struct {
-	data   []byte
-	mapped bool
-	closed atomic.Bool
-}
-
-// Bytes returns the whole sealed image, for shipping verbatim (cluster
-// model distribution) or re-saving. Must not be modified.
-func (a *Arena) Bytes() []byte { return a.data }
-
-// Mapped reports whether the arena is an mmap (false: heap fallback).
-func (a *Arena) Mapped() bool { return a.mapped }
-
-// Close releases the mapping (a no-op for the heap fallback beyond
-// letting the GC reclaim the buffer). Idempotent.
-func (a *Arena) Close() error {
-	if !a.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	runtime.SetFinalizer(a, nil)
-	if a.mapped {
-		data := a.data
-		a.data = nil
-		return munmapBytes(data)
-	}
-	a.data = nil
-	return nil
-}
-
-// OpenFile opens a sealed model file: mmap when the platform and build
-// allow it, ReadFile otherwise. Open allocates O(1) in model size —
-// structural validation is a bounds pass over the offset columns
-// (O(items+promos) comparisons, never O(rules), no allocations) and
-// the heap catalog materializes lazily on first Catalog() call. Open
-// validates structure only; run Verify (or use a path that does, like
-// registry staging) before trusting content from an untrusted source.
-func OpenFile(path string, opts Options) (*Model, error) {
-	if mmapAvailable && !opts.NoMmap {
-		m, err := openMapped(path)
-		if err == nil {
-			return m, nil
-		}
-		var perr *parseError
-		if asParseError(err, &perr) {
-			return nil, err // structurally bad file: the fallback would fail the same way
-		}
-		// mmap itself failed (exotic filesystem, resource limits):
-		// degrade to the portable path.
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return OpenBytes(data)
-}
-
-func openMapped(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := int(info.Size())
-	if size < headerSize {
-		return nil, &parseError{fmt.Sprintf("arena: file is %d bytes, smaller than the %d-byte header", size, headerSize)}
-	}
-	data, err := mmapFile(f, size)
-	if err != nil {
-		return nil, fmt.Errorf("arena: mmap %s: %w", path, err)
-	}
-	a := &Arena{data: data, mapped: true}
-	// The mapping outlives the fd; reclaim the address space when the
-	// last Model reference is collected.
-	runtime.SetFinalizer(a, func(ar *Arena) { ar.Close() })
-	m, err := parse(a)
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-// OpenBytes opens a sealed model held in memory (the cluster sync path
-// receives images over HTTP). The buffer is aliased, not copied,
-// unless its base address is misaligned.
+// OpenBytes opens a sealed image held in memory, the one way an image
+// opens: modelio reads a model file into memory first, and the cluster
+// sync path receives images over HTTP. The buffer is aliased, not
+// copied, unless its base address is misaligned, and must not be
+// modified while the Model is in use. Open allocates O(1) in model size
+// — structural validation is a bounds pass over the header and section
+// table, never O(rules), and the heap catalog materializes lazily on
+// first Catalog call. Open validates structure only; run Verify (or use
+// a path that does, like modelio's loaders) before trusting content
+// from an untrusted source.
 func OpenBytes(data []byte) (*Model, error) {
 	if !isAligned8(data) {
 		data = alignedCopy(data)
 	}
-	return parse(&Arena{data: data})
-}
-
-// parseError marks structural-validation failures, as opposed to I/O
-// errors: a file that fails parse under mmap will fail identically via
-// ReadFile, so OpenFile does not retry those.
-type parseError struct{ msg string }
-
-func (e *parseError) Error() string { return e.msg }
-
-func asParseError(err error, target **parseError) bool {
-	for err != nil {
-		if pe, ok := err.(*parseError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	return parse(data)
 }
 
 func errf(format string, args ...any) error {
-	return &parseError{"arena: " + fmt.Sprintf(format, args...)}
+	return errors.New("arena: " + fmt.Sprintf(format, args...))
 }
 
 // SniffMagic reports whether data begins with a sealed-model header.
@@ -176,11 +58,10 @@ type section struct{ off, len int }
 // parse validates the header and section table, decodes the meta
 // block, checks every fixed-size section length against the counts,
 // and aliases the typed views. It does no per-rule work.
-func parse(a *Arena) (*Model, error) {
+func parse(data []byte) (*Model, error) {
 	if !hostLittleEndian() {
 		return nil, errf("sealed models require a little-endian host")
 	}
-	data := a.data
 	if len(data) < headerSize {
 		return nil, errf("file is %d bytes, smaller than the %d-byte header", len(data), headerSize)
 	}
@@ -266,7 +147,7 @@ func parse(a *Arena) (*Model, error) {
 	}
 
 	m := &Model{
-		a:    a,
+		data: data,
 		meta: meta,
 		sec:  sec,
 		exp:  expansions{off: alias[int32](sec(SecExpOff)), pool: alias[genID](sec(SecExpPool))},
@@ -409,7 +290,7 @@ func encodeMeta(m Meta) []byte {
 // the integrity gate every staging path runs once per new content
 // hash. O(file size), unlike Open.
 func (m *Model) Verify() error {
-	data := m.a.data
+	data := m.data
 	sum := sha256.Sum256(data[checksumStart:])
 	if !bytes.Equal(sum[:], data[16:48]) {
 		return errf("content checksum mismatch: header %.8x, content %.8x (file corrupt?)", data[16:24], sum[:8])
@@ -436,5 +317,5 @@ func (m *Model) Verify() error {
 // ContentHash returns the stored whole-file checksum (hex) — the
 // sealed model's identity for the watcher, the cluster, and dedup.
 func (m *Model) ContentHash() string {
-	return hex.EncodeToString(m.a.data[16:48])
+	return hex.EncodeToString(m.data[16:48])
 }

@@ -1,10 +1,7 @@
 package arena_test
 
 import (
-	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"profitmining/internal/arena"
@@ -118,7 +115,7 @@ func TestChecksumFlip(t *testing.T) {
 }
 
 // TestTruncatedTail cuts the file at several points; every cut must
-// fail Open (never Verify-later): a truncated mapping must not hand out
+// fail Open (never Verify-later): a truncated image must not hand out
 // views at all.
 func TestTruncatedTail(t *testing.T) {
 	data, _ := sealedGrocery(t)
@@ -184,62 +181,5 @@ func TestOpenBytesMisaligned(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNoMmapFallback pins the pure-Go path (exercised under -race in
-// CI): same meta, same verification, Mapped reports false.
-func TestNoMmapFallback(t *testing.T) {
-	data, _ := sealedGrocery(t)
-	path := filepath.Join(t.TempDir(), "model.pma")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	heap, err := arena.OpenFile(path, arena.Options{NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer heap.Arena().Close()
-	if heap.Arena().Mapped() {
-		t.Error("NoMmap open still reports a mapping")
-	}
-	if err := heap.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	def, err := arena.OpenFile(path, arena.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer def.Arena().Close()
-	if err := def.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if heap.Meta() != def.Meta() {
-		t.Errorf("fallback meta %+v != default-open meta %+v", heap.Meta(), def.Meta())
-	}
-	if !bytes.Equal(heap.Arena().Bytes(), def.Arena().Bytes()) {
-		t.Error("fallback bytes differ from default-open bytes")
-	}
-	t.Logf("default open mapped: %v", def.Arena().Mapped())
-}
-
-// TestCloseIdempotent double-closes both arena kinds.
-func TestCloseIdempotent(t *testing.T) {
-	data, _ := sealedGrocery(t)
-	path := filepath.Join(t.TempDir(), "model.pma")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []arena.Options{{}, {NoMmap: true}} {
-		m, err := arena.OpenFile(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Arena().Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Arena().Close(); err != nil {
-			t.Errorf("second Close (mapped=%v) errored: %v", opts.NoMmap, err)
-		}
 	}
 }

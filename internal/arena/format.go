@@ -5,11 +5,11 @@
 // stable IDs, and pre-marshaled recommendation blobs — are fixed-layout
 // segments addressed by a header of offsets, with a whole-file sha256.
 //
-// Opening a sealed file is mmap (or a pure-Go ReadFile fallback) plus
-// O(#sections) pointer fixup into index-based views: no per-rule work,
-// no deserialization, and the page cache is shared across processes.
-// All unsafe aliasing in the repository is confined to this package
-// (enforced by the profitlint `arenaonly` rule).
+// Opening a sealed image (OpenBytes) is O(#sections) pointer fixup over
+// its bytes into index-based views: no per-rule work and no
+// deserialization. The package does no I/O; callers read a model file
+// into memory first. All unsafe aliasing in the repository is confined
+// to this package (enforced by the profitlint `arenaonly` rule).
 //
 // # Layout
 //
@@ -33,7 +33,7 @@
 //     big-endian hosts rather than silently mis-alias.
 //   - Every section offset is 8-byte aligned and sections appear in
 //     table order without overlap, so typed views (int32/int64/float64
-//     slices) can alias the mapping directly.
+//     slices) can alias the image directly.
 //   - Open performs only O(#sections) structural validation — never
 //     O(rules) or O(items). A truncated file or a damaged header fails
 //     Open; payload bit-flips and the linear structural scans
@@ -44,8 +44,8 @@
 //     hash). Catalog materialization is deferred to the
 //     first Catalog call and memoized.
 //   - Views index into one global rule table; *rules.Rule pointers
-//     never exist for a model opened from a file, which is what makes
-//     open time independent of model size.
+//     never exist for an opened image, which is what makes open time
+//     independent of model size.
 package arena
 
 // magic identifies a sealed model file; the trailing digit is the

@@ -15,12 +15,12 @@ import (
 // space, so they stay mutually consistent without the space itself).
 type genID = hierarchy.GenID
 
-// Model is the index-based view of one sealed arena: typed slices
-// aliasing the mapping plus the lazily materialized catalog. It is
-// immutable and safe for concurrent use; it keeps its Arena reachable,
+// Model is the index-based view of one sealed image: typed slices
+// aliasing its bytes plus the lazily materialized catalog. It is
+// immutable and safe for concurrent use; it keeps the image reachable,
 // so views remain valid for the Model's lifetime.
 type Model struct {
-	a    *Arena
+	data []byte
 	meta Meta
 	sec  func(int) []byte
 	exp  expansions
@@ -50,7 +50,7 @@ func (m *Model) Catalog() (*model.Catalog, error) {
 }
 
 // Expansions returns the per-promotion sale expansions as the shared
-// hierarchy view, aliasing the mapping.
+// hierarchy view, aliasing the image.
 func (m *Model) Expansions() hierarchy.Expansions {
 	return hierarchy.Expansions{Off: m.exp.off, Pool: m.exp.pool}
 }
@@ -64,8 +64,9 @@ func (m *Model) Trie() *Trie { return &m.trie }
 // Alternates returns the flattened per-item alternates trie.
 func (m *Model) Alternates() *Trie { return &m.alt }
 
-// Arena returns the backing arena (for Close and Bytes).
-func (m *Model) Arena() *Arena { return m.a }
+// Bytes returns the whole sealed image, for shipping verbatim (cluster
+// model distribution) or writing to a file. Must not be modified.
+func (m *Model) Bytes() []byte { return m.data }
 
 // expansions is the aliased hierarchy.Expansions layout.
 type expansions struct {
@@ -94,7 +95,7 @@ func (e expansions) validate(poolBytes int) error {
 // RuleTable is the columnar form of every servable rule: the final
 // rules in MPF rank order (the first Meta.NumFinal entries) followed
 // by the per-item alternates not already present. All slices alias the
-// mapping; none may be modified.
+// image; none may be modified.
 type RuleTable struct {
 	BodyOff   []int32
 	BodyPool  []genID
@@ -140,7 +141,7 @@ func (t *RuleTable) Conf(i int32) float64 {
 }
 
 // ID returns rule i's stable content-hash identity ("r"+16 hex,
-// rules.StableID) as a zero-copy string over the mapping.
+// rules.StableID) as a zero-copy string over the image.
 //
 //hot:path
 func (t *RuleTable) ID(i int32) string {

@@ -5,9 +5,8 @@ import "unsafe"
 // This file is the only place in the repository where raw bytes are
 // reinterpreted as typed data (see the arenaonly lint rule). Every
 // alias call is made against a section whose offset the parser has
-// already checked to be 8-byte aligned within an 8-aligned (page- or
-// heap-) base, so the pointer casts below never produce a misaligned
-// load.
+// already checked to be 8-byte aligned within an 8-aligned base, so the
+// pointer casts below never produce a misaligned load.
 
 // hostLittleEndian reports whether the running CPU stores integers
 // little-endian. The sealed format is defined as little-endian, and on
@@ -43,9 +42,8 @@ func asBytes[T any](v []T) []byte {
 
 // byteString views b as a string without copying — the zero-alloc path
 // for rule IDs and rendered rule strings served straight from the
-// mapping. The string is valid for as long as the arena stays mapped;
-// everything handed out lives behind a Model, which keeps its Arena
-// reachable.
+// image. The string keeps the image reachable, and the image is never
+// modified, so it stays valid for as long as anyone holds it.
 func byteString(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -54,8 +52,7 @@ func byteString(b []byte) string {
 }
 
 // alignedCopy returns a copy of data whose base address is 8-byte
-// aligned, for the rare allocator that hands ReadFile bytes at an odd
-// offset.
+// aligned, for a caller that hands OpenBytes a buffer at an odd offset.
 func alignedCopy(data []byte) []byte {
 	buf := make([]uint64, (len(data)+7)/8)
 	out := asBytes(buf)[:len(data)]

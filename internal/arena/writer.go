@@ -3,7 +3,6 @@ package arena
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"os"
 
 	"profitmining/internal/hierarchy"
 )
@@ -76,13 +75,4 @@ func (w *Writer) Finish() ([]byte, error) {
 	sum := sha256.Sum256(buf[checksumStart:])
 	copy(buf[16:48], sum[:])
 	return buf, nil
-}
-
-// WriteFile finishes the image and writes it to path in one call.
-func (w *Writer) WriteFile(path string) error {
-	data, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -47,13 +47,6 @@ type CoordinatorConfig struct {
 	// survived without burning the whole request timeout).
 	Hedge time.Duration
 
-	// Sharded routes every basket of a batch by consistent hash of its
-	// item set — the placement mode for catalogs sharded across
-	// replicas. Off (the default, for fleets where every replica holds
-	// the full model) a batch is split into contiguous chunks across
-	// healthy replicas for parallelism.
-	Sharded bool
-
 	// SpoolDir persists shipped segments ("" = memory only).
 	SpoolDir string
 
@@ -592,12 +585,11 @@ type batchGroup struct {
 }
 
 // recommendBatch fans a batch out over the fleet and merges the
-// per-basket results back into request order. Sharded mode routes each
-// basket by consistent hash of its item set; unsharded mode splits the
-// batch into contiguous chunks across the usable replicas. Either way
-// a failed sub-request fails over replica by replica, and only baskets
-// whose every attempt failed degrade — to per-basket errors, never a
-// failed batch.
+// per-basket results back into request order. The batch is split into
+// contiguous chunks across the usable replicas (every replica holds the
+// full model); a failed sub-request fails over replica by replica, and
+// only baskets whose every attempt failed degrade — to per-basket
+// errors, never a failed batch.
 func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, maxBatchBody)
 	if !ok {
@@ -704,32 +696,10 @@ func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// groupBaskets partitions basket indexes into replica-bound groups.
+// groupBaskets partitions basket indexes into contiguous chunks across
+// the usable fleet, failover order rotating so each group prefers a
+// different backup.
 func (c *Coordinator) groupBaskets(baskets []json.RawMessage) []batchGroup {
-	if c.cfg.Sharded {
-		byPrimary := make(map[string]*batchGroup)
-		var out []batchGroup
-		keys := make([]string, 0)
-		for ix, raw := range baskets {
-			order := c.order(basketKey(raw))
-			primary := ""
-			if len(order) > 0 {
-				primary = order[0].name
-			}
-			g, ok := byPrimary[primary]
-			if !ok {
-				out = append(out, batchGroup{order: order})
-				g = &out[len(out)-1]
-				byPrimary[primary] = g
-				keys = append(keys, primary)
-			}
-			g.indexes = append(g.indexes, ix)
-		}
-		_ = keys
-		return out
-	}
-	// Unsharded: contiguous chunks across the usable fleet, failover
-	// order rotating so each group prefers a different backup.
 	usable := c.usableReplicas()
 	if len(usable) == 0 {
 		return nil

@@ -9,8 +9,8 @@ import (
 // ring is a consistent-hash ring over replica names. Each replica
 // contributes vnodesPerReplica points keyed by "name#i", so adding or
 // removing one replica remaps only ~1/N of the key space — the property
-// that keeps basket→replica affinity (and therefore warm caches and
-// sharded-catalog placement) stable across fleet changes.
+// that keeps basket→replica affinity (and therefore warm caches) stable
+// across fleet changes.
 //
 // The ring is immutable after build; the coordinator swaps whole rings
 // when the fleet changes.

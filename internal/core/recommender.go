@@ -289,8 +289,8 @@ func (r *Recommender) serveFrom(m *arena.Model) {
 // decoded and nothing per-rule or per-item happens here, so
 // construction is O(1) in model size (even the heap catalog stays
 // unmaterialized until someone asks for it). The recommender has no
-// build output and keeps the image's mapping alive; callers own the
-// mapping's lifetime (registry snapshots close it on drain).
+// build output and serves from the image's bytes, which it keeps
+// reachable.
 func FromSealed(m *arena.Model) (*Recommender, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil sealed model")

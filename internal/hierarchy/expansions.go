@@ -12,8 +12,8 @@ import (
 // Off has NumPromos+2 entries and Off[0] == Off[1] == 0.
 //
 // The layout is shared between a compiled Space (which builds it) and a
-// sealed arena model (which aliases it straight out of the mapped
-// file), so both serve baskets through the identical merge code below.
+// sealed arena model (which aliases it straight out of the image's
+// bytes), so both serve baskets through the identical merge code below.
 type Expansions struct {
 	Off  []int32
 	Pool []GenID

@@ -21,15 +21,11 @@ type Stream struct {
 }
 
 // NewStream mines the initial window and returns a Stream positioned on
-// it. The options must resolve to a positive support threshold; the
-// windowed API does not take profit-only pruning.
+// it.
 func NewStream(space *hierarchy.Space, txns []model.Transaction, opts Options) (*Stream, error) {
 	m, err := newMiner(space, opts, len(txns))
 	if err != nil {
 		return nil, err
-	}
-	if m.profitPruning {
-		return nil, fmt.Errorf("mining: windowed mining requires a support threshold (got profit-only pruning)")
 	}
 	m.prepare(txns)
 	return &Stream{m: m, raw: append([]model.Transaction(nil), txns...), res: m.run()}, nil

@@ -34,7 +34,6 @@ func FuzzLoadBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer rec.Sealed().Arena().Close()
 		rules := rec.Sealed().Rules()
 		var sales []model.Sale
 		for _, basket := range baskets {

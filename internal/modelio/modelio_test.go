@@ -157,7 +157,6 @@ func TestModelFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec2.Sealed().Arena().Close()
 	if rec2.Stats() != rec.Stats() || rec2.Sealed().ContentHash() != rec.Sealed().ContentHash() {
 		t.Error("file round trip changed the model")
 	}

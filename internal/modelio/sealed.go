@@ -13,8 +13,9 @@ import (
 // internal/arena for the byte layout), the only format a model loads
 // from. It is a serving artifact, not an interchange format — it stores
 // interned IDs, flattened tries, and pre-marshaled response blobs, and
-// it opens in O(1) of the rule count by mmap. core seals every model
-// where it is built, and Seal hands out that image.
+// it opens with O(#sections) fixup over its bytes, no per-rule
+// decoding. core seals every model where it is built, and Seal hands
+// out that image.
 
 // ContentHash returns a sealed image's identity in hex: the digest
 // embedded in its header, read without a hashing pass. It is "" for
@@ -28,15 +29,16 @@ func ContentHash(data []byte) string {
 	return h
 }
 
-// LoadFile opens a sealed model file — mmap (or the pm_nommap ReadFile
-// fallback) plus O(1) fixup — then verifies it once. Anything but a
-// sealed image, a v2 JSON export included, fails.
+// LoadFile reads a sealed model file into memory and loads it as
+// LoadBytes does. The model serves from its own copy of the bytes, so
+// rewriting the file afterwards cannot change or fault it. Anything but
+// a sealed image, a v2 JSON export included, fails.
 func LoadFile(path string) (*model.Catalog, *core.Recommender, error) {
-	m, err := arena.OpenFile(path, arena.Options{})
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fromVerified(m)
+	return LoadBytes(data)
 }
 
 // LoadBytes opens a sealed image held in memory zero-copy and verifies
@@ -54,11 +56,14 @@ func LoadBytes(data []byte) (*model.Catalog, *core.Recommender, error) {
 // checksum without wrapping a recommender around it — the cheap
 // integrity probe before shipping a file to a serving fleet.
 func VerifyFile(path string) error {
-	m, err := arena.OpenFile(path, arena.Options{})
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer m.Arena().Close()
+	m, err := arena.OpenBytes(data)
+	if err != nil {
+		return err
+	}
 	return m.Verify()
 }
 
@@ -67,17 +72,14 @@ func VerifyFile(path string) error {
 // handed out by this path always have a screened, non-nil catalog.
 func fromVerified(m *arena.Model) (*model.Catalog, *core.Recommender, error) {
 	if err := m.Verify(); err != nil {
-		m.Arena().Close()
 		return nil, nil, err
 	}
 	cat, err := m.Catalog()
 	if err != nil {
-		m.Arena().Close()
 		return nil, nil, err
 	}
 	rec, err := core.FromSealed(m)
 	if err != nil {
-		m.Arena().Close()
 		return nil, nil, err
 	}
 	return cat, rec, nil
@@ -91,7 +93,7 @@ func Seal(cat *model.Catalog, rec *core.Recommender) ([]byte, error) {
 	if cat != rec.Catalog() {
 		return nil, fmt.Errorf("modelio: sealing against a catalog the recommender was not built over")
 	}
-	return rec.Sealed().Arena().Bytes(), nil
+	return rec.Sealed().Bytes(), nil
 }
 
 // SealFile seals to a file.

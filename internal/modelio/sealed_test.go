@@ -157,8 +157,8 @@ func TestSealedCoreEquivalence(t *testing.T) {
 
 // TestSealedRecommendZeroAllocs holds an opened image to the same bar
 // as a built model: steady-state Recommend and RecommendTopKInto do not
-// allocate. Everything they touch is either a mapped view or pooled
-// scratch.
+// allocate. Everything they touch is either a view into the image or
+// pooled scratch.
 func TestSealedRecommendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on instrumented paths")
@@ -260,7 +260,7 @@ func TestSealReturnsBuiltImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img := built.Sealed().Arena().Bytes(); len(data) != len(img) || &data[0] != &img[0] {
+	if img := built.Sealed().Bytes(); len(data) != len(img) || &data[0] != &img[0] {
 		t.Fatal("Seal re-sealed a built recommender instead of returning its image")
 	}
 	if _, err := Seal(model.NewCatalog(), built); err == nil {

@@ -127,9 +127,9 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 		}
 	}
 
-	// The model loads from a private copy of the file, never a mapping
-	// of it: an operator may rewrite the file in place, and a mapping of
-	// a truncated file faults on the next request the snapshot serves.
+	// The model loads from a private copy of the file, so an operator
+	// may rewrite the file in place without disturbing the snapshot it
+	// serves.
 	data, rerr := os.ReadFile(w.path)
 	if rerr != nil {
 		w.lastHash = "" // memoize nothing: retry next poll

@@ -98,7 +98,7 @@ func TestWatcherPromotesAndRejects(t *testing.T) {
 
 	// New content, written over the served file in place, promotes
 	// version 2. The replaced snapshot must still answer from its own
-	// bytes: it was loaded from a copy, not a mapping of the file.
+	// bytes: it was loaded from a copy of the file.
 	first := snap
 	writeFile(t, path, sealedB)
 	snap, outcome, err = w.Check()

@@ -669,8 +669,7 @@ func RegisterSnapshot(fb *feedback.Collector, snap *registry.Snapshot) {
 		promo := snap.Cat.Promo(model.PromoID(rt.HeadPromo[i]))
 		projs = append(projs, feedback.RuleProjection{
 			// Cloned out of the image: the collector outlives the
-			// snapshot, and a zero-copy string would dangle once a mapped
-			// image is unmapped on drain.
+			// snapshot, and a zero-copy string would pin a retired image.
 			ID:     strings.Clone(rt.ID(i)),
 			ProfRe: rt.ProfRe[i],
 			Conf:   rt.Conf(i),
@@ -708,15 +707,9 @@ func (s *Server) shadowScore(active *registry.Snapshot, wire []saleJSON, activeR
 	// Compare structurally (names and promo index), since item and promo
 	// IDs are private to each snapshot's catalog.
 	agreed := active.Cat.Item(a.Item).Name == cand.Cat.Item(c.Item).Name &&
-		promoIndex(active.Cat, a.Item, a.Promo) == promoIndex(cand.Cat, c.Item, c.Promo)
+		core.PromoIndex(active.Cat, a.Item, a.Promo) == core.PromoIndex(cand.Cat, c.Item, c.Promo)
 	delta := cand.Cat.Promo(c.Promo).Profit() - active.Cat.Promo(a.Promo).Profit()
 	s.reg.RecordShadow(cand, agreed, delta, nil)
-}
-
-// promoIndex maps a promo ID back to its wire-format index within its
-// item's ladder (-1 if absent, which cannot happen for a valid model).
-func promoIndex(cat *model.Catalog, item model.ItemID, promo model.PromoID) int {
-	return core.PromoIndex(cat, item, promo)
 }
 
 // blob returns the recommendation's JSON object: the blob pre-marshaled

@@ -69,9 +69,9 @@ func VerifyModel(path string) error {
 }
 
 // SealModel writes the recommender's sealed serving image (modelio
-// format v3) to path: one mmap-able arena file that LoadModel,
-// profitserve and the serving registry open in O(1) of the model size,
-// with every response blob pre-marshaled. It is a deployment artifact —
+// format v3) to path: one arena file that LoadModel, profitserve and the
+// serving registry open with no per-rule decoding, with every response
+// blob pre-marshaled. It is a deployment artifact —
 // byte layout, not interchange — and cannot be re-trained from; keep
 // the dataset as the source of truth.
 func SealModel(path string, cat *Catalog, rec *Recommender) error {

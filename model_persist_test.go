@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"profitmining"
@@ -40,6 +41,50 @@ func TestModelPersistenceFacade(t *testing.T) {
 			t.Fatalf("basket %d: loaded model recommends %s [%s], original %s [%s]",
 				i, cat2.Item(b.Item).Name, b.ID, g.Dataset.Catalog.Item(a.Item).Name, a.ID)
 		}
+	}
+}
+
+// TestLoadModelSurvivesInPlaceRewrite: a model opened with LoadModel
+// serves from its own copy of the file's bytes, so overwriting the file
+// in place changes none of its answers, its identity or its checksum,
+// and cannot fault the process.
+func TestLoadModelSurvivesInPlaceRewrite(t *testing.T) {
+	g := profitmining.NewGrocery(600, 19)
+	rec, err := profitmining.Build(g.Dataset, profitmining.Options{
+		MinSupport: 0.01,
+		Hierarchy:  g.Builder,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.pma")
+	if err := profitmining.SealModel(path, g.Dataset.Catalog, rec); err != nil {
+		t.Fatal(err)
+	}
+	_, loaded, err := profitmining.LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baskets := g.Dataset.Transactions[:50]
+	want := make([][]profitmining.Recommendation, len(baskets))
+	for i := range baskets {
+		want[i] = loaded.RecommendTopK(baskets[i].NonTarget, 3)
+	}
+	hash := loaded.Sealed().ContentHash()
+
+	if err := os.WriteFile(path, []byte("rewritten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := range baskets {
+		if got := loaded.RecommendTopK(baskets[i].NonTarget, 3); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("basket %d: after the rewrite the model answers %v, before %v", i, got, want[i])
+		}
+	}
+	if got := loaded.Sealed().ContentHash(); got != hash {
+		t.Errorf("content hash changed from %s to %s", hash, got)
+	}
+	if err := loaded.Sealed().Verify(); err != nil {
+		t.Errorf("model fails Verify after its file was rewritten: %v", err)
 	}
 }
 

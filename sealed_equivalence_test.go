@@ -95,8 +95,6 @@ func compareBuiltVsSealed(t *testing.T, cat *profitmining.Catalog, rec *profitmi
 	if sRec.Tree() != nil {
 		t.Fatal("LoadModel returned a recommender with build output")
 	}
-	defer sRec.Sealed().Arena().Close()
-	t.Logf("sealed model mmap-backed: %v", sRec.Sealed().Arena().Mapped())
 
 	builtSrv := httptest.NewServer(serve.New(cat, rec).Handler())
 	defer builtSrv.Close()
