@@ -9,11 +9,6 @@
 // A laptop-sized run preserving the shapes:
 //
 //	profitbench -dataset I -txns 10000 -items 200
-//
-// Two other modes gate the serving tier instead of running the sweep:
-// -clusterbench (an in-process replica fleet behind a coordinator) and
-// -soakbench (the closed-loop traffic soak). Each writes a JSON report
-// and exits nonzero when a gate fails.
 package main
 
 import (
@@ -43,25 +38,6 @@ func main() {
 		knnK     = flag.Int("k", 5, "kNN neighbor count")
 		csvDir   = flag.String("csv", "", "also write raw sweep points as CSV into this directory")
 		par      = flag.Int("parallel", 0, "per-build worker count (0 = one per CPU, 1 = serial; identical output either way)")
-
-		clusterBench = flag.Bool("clusterbench", false, "instead of the figure sweep, stand up an in-process replica fleet + coordinator, enforce the distributed tier's acceptance gates and write a JSON report")
-		clusterReqs  = flag.Int("clusterreqs", 200, "batch requests timed per tier by -clusterbench")
-		clusterRatio = flag.Float64("clusterratio", 2, "maximum coordinator/single-node batch p99 ratio -clusterbench enforces")
-		clusterOut   = flag.String("clusterout", "BENCH_cluster.json", "where -clusterbench writes its JSON report")
-
-		soakBench    = flag.Bool("soakbench", false, "instead of the figure sweep, run the closed-loop traffic soak (virtual-clock, single node + coordinator fleet, determinism and drift-cycle gates) and write a JSON report")
-		soakUsers    = flag.Int("soakusers", 1000000, "simulated user population for -soakbench")
-		soakVirt     = flag.Float64("soakvirt", 45, "virtual-clock seconds simulated per -soakbench run")
-		soakRate     = flag.Float64("soakrate", 20, "base session arrivals per virtual second for -soakbench")
-		soakMinsup   = flag.Float64("soakminsup", 0.01, "minimum support for the -soakbench windowed model")
-		soakWindow   = flag.Int("soakwindow", 2048, "initial window size for the -soakbench windowed model")
-		soakSlide    = flag.Int("soakslide", 256, "transactions each drift refresh slides the -soakbench window by")
-		soakQPS      = flag.Float64("soakqps", 200, "target request rate for the -soakbench wall-clock open-loop phase")
-		soakWall     = flag.Float64("soakwall", 5, "wall-clock seconds of the -soakbench open-loop phase")
-		soakP99Ms    = flag.Float64("soakp99ms", 50, "server-side /recommend p99 budget in ms -soakbench enforces in both topologies")
-		soakCheckEvy = flag.Int("soakcheckevery", 50, "acked outcomes between WAL shipping points in the -soakbench cluster phase")
-		soakURL      = flag.String("soakurl", "", "soak an external live server at this base URL instead of the in-process topologies (scripts/soak_smoke.sh mode)")
-		soakOut      = flag.String("soakout", "BENCH_soak.json", "where -soakbench writes its JSON report")
 	)
 	flag.Parse()
 
@@ -80,23 +56,6 @@ func main() {
 		names = []string{"I", "II"}
 	default:
 		fail(fmt.Errorf("unknown dataset %q", *dataset))
-	}
-
-	if *clusterBench {
-		runClusterBench(names[0], *txns, *items, sups[0], *maxLen, *seed, *clusterReqs, *clusterRatio, *clusterOut)
-		return
-	}
-	if *soakBench {
-		runSoakBench(soakParams{
-			txns: *txns, items: *items,
-			minsup: *soakMinsup, window: *soakWindow, slide: *soakSlide,
-			users: *soakUsers, seed: *seed,
-			virtSecs: *soakVirt, rate: *soakRate,
-			qps: *soakQPS, wallSecs: *soakWall,
-			maxP99Ms: *soakP99Ms, checkEvery: *soakCheckEvy,
-			out: *soakOut, url: *soakURL,
-		})
-		return
 	}
 
 	for _, name := range names {

@@ -53,8 +53,9 @@
 //	    -feedback-dir /var/lib/profitserve/feedback -addr :8080
 //
 // The coordinator is the thin fleet front: it health-checks replicas,
-// routes /recommend, /recommend/batch and /outcome with hedged
-// failover, merges /metrics and /version, aggregates the shipped
+// routes /recommend and /recommend/batch with hedged failover and
+// /outcome with plain failover (an outcome is never sent twice),
+// merges /metrics and /version, aggregates the shipped
 // segments into the deterministic cluster-wide /feedback/stats, and
 // runs the single cluster-level drift detector — with -data and
 // -window a cluster drift alarm triggers one in-process delta refresh

@@ -16,20 +16,20 @@
 //
 //   - Coordinator: a thin HTTP front that health-checks replicas,
 //     routes /recommend, /recommend/batch and /outcome (consistent-hash
-//     by basket key, fan-out with per-basket error isolation, hedged
-//     retry on replica failure), merges /metrics and /version across
-//     the fleet, and runs the single cluster-wide Page-Hinkley drift
-//     detector over the aggregated outcome stream — replaying shipped
-//     segments in a deterministic total order (node, segment sequence,
-//     then record index) so a drift alarm fires exactly once per model
-//     episode and
-//     triggers exactly one delta refresh, whose promoted model then
-//     fans back out to every replica through the model-sync channel.
+//     by basket key, fan-out with per-basket error isolation, failover
+//     on replica failure, and a hedged second attempt on a slow replica
+//     for the idempotent recommend routes only — an outcome is recorded
+//     wherever it lands, so it is never sent twice), merges /metrics
+//     and /version across the fleet, and runs the single cluster-wide
+//     Page-Hinkley drift detector over the aggregated outcome stream —
+//     replaying shipped segments in a deterministic total order (node,
+//     segment sequence, then record index) so a drift alarm fires
+//     exactly once per model episode and triggers exactly one delta
+//     refresh, whose promoted model then fans back out to every replica
+//     through the model-sync channel.
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"net/http"
 	"strconv"
 	"time"
@@ -66,13 +66,6 @@ const (
 // maxShippedSegment caps a POST /cluster/segment body. Segments rotate
 // at 64 MiB by default; double that bounds a misbehaving shipper.
 const maxShippedSegment = 128 << 20
-
-// hashBytes is the content address of shipped segments (hex sha256),
-// matching registry.HashBytes.
-func hashBytes(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // retryAfter parses a Retry-After header (seconds form) into a
 // duration, with a floor so a malformed or zero header still backs off.

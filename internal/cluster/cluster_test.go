@@ -72,7 +72,7 @@ type stack struct {
 	rep    *Replica
 }
 
-func newStack(t *testing.T, coordinatorURL string) *stack {
+func newStack(t testing.TB, coordinatorURL string) *stack {
 	t.Helper()
 	walDir := t.TempDir()
 	fb, _, err := feedback.Open(feedback.Config{Dir: walDir})
@@ -102,15 +102,10 @@ func newStack(t *testing.T, coordinatorURL string) *stack {
 	return &stack{ts: ts, srv: srv, reg: reg, fb: fb, walDir: walDir, rep: rep}
 }
 
-// newFleet stands up a coordinator and n synced replicas.
-func newFleet(t *testing.T, n int, cfg CoordinatorConfig) (*Coordinator, *httptest.Server, []*stack) {
+// newFleet stands up a coordinator and n synced replicas. Tests drive
+// health passes by hand (CheckHealth); the coordinator's loop never runs.
+func newFleet(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, *httptest.Server, []*stack) {
 	t.Helper()
-	if cfg.HealthEvery == 0 {
-		cfg.HealthEvery = time.Hour // tests drive CheckHealth by hand
-	}
-	if cfg.Hedge == 0 {
-		cfg.Hedge = 50 * time.Millisecond
-	}
 	if cfg.Model == nil {
 		cfg.Model = testModel(t)
 	}
@@ -379,6 +374,55 @@ func TestBatchFailoverZeroDrops(t *testing.T) {
 	if got := coord.Spool().Outcomes(); got != outcomes {
 		t.Fatalf("aggregated %d outcomes, acked %d — dropped %d", got, outcomes, outcomes-got)
 	}
+
+	// The fleet's sealed segments, the dead replica's included, fold to
+	// byte-identical stats whichever order they arrive in.
+	type shipped struct {
+		node string
+		seq  int
+		data []byte
+	}
+	var segs []shipped
+	for _, st := range stacks {
+		paths, err := feedback.SealedSegmentPaths(st.walDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			seq, err := feedback.SegmentSeq(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs = append(segs, shipped{st.rep.cfg.NodeID, seq, data})
+		}
+	}
+	fold := func(reverse bool) []byte {
+		s, err := NewSpool("", feedback.DriftConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range segs {
+			sg := segs[i]
+			if reverse {
+				sg = segs[len(segs)-1-i]
+			}
+			if _, _, err := s.Ingest(sg.node, sg.seq, registry.HashBytes(sg.data), sg.data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := json.Marshal(s.Stats(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if asc, desc := fold(false), fold(true); !bytes.Equal(asc, desc) {
+		t.Fatalf("segment arrival order changed the fleet's stats:\n asc %s\ndesc %s", asc, desc)
+	}
 }
 
 // TestSpoolDeterminism pins the ordering contract: the cluster fold is
@@ -436,7 +480,7 @@ func TestSpoolDeterminism(t *testing.T) {
 		return s
 	}
 	ingest := func(s *Spool, node string, seq int, seg []byte) (string, bool) {
-		key, added, err := s.Ingest(node, seq, hashBytes(seg), seg)
+		key, added, err := s.Ingest(node, seq, registry.HashBytes(seg), seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,10 +532,10 @@ func TestSpoolDeterminism(t *testing.T) {
 	}
 	bad := append([]byte(nil), segs[0]...)
 	bad[len(bad)-1] ^= 0x01
-	if _, _, err := bSpool.Ingest("nodeX", 1, hashBytes(bad), bad); err == nil {
+	if _, _, err := bSpool.Ingest("nodeX", 1, registry.HashBytes(bad), bad); err == nil {
 		t.Fatal("corrupted segment was admitted")
 	}
-	if _, _, err := bSpool.Ingest("node1", seqs[0], hashBytes(segs[1]), segs[1]); err == nil {
+	if _, _, err := bSpool.Ingest("node1", seqs[0], registry.HashBytes(segs[1]), segs[1]); err == nil {
 		t.Fatal("a node rewriting an immutable sequence was admitted")
 	}
 }
@@ -534,7 +578,7 @@ func TestSpoolReloadsFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s1.Ingest("node1", seq, hashBytes(seg), seg); err != nil {
+	if _, _, err := s1.Ingest("node1", seq, registry.HashBytes(seg), seg); err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(s1.Stats(-1))
@@ -619,7 +663,7 @@ func TestClusterDriftFiresOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(segmentHashHeader, hashBytes(data))
+		req.Header.Set(segmentHashHeader, registry.HashBytes(data))
 		req.Header.Set(nodeIDHeader, node)
 		req.Header.Set(segmentSeqHeader, strconv.Itoa(seq))
 		resp, err := http.DefaultClient.Do(req)
@@ -727,7 +771,7 @@ func TestModelSyncConditional(t *testing.T) {
 // published /cluster/model is a 503 with Retry-After, and with the
 // whole fleet down routed requests degrade to 503, not hangs.
 func TestCoordinatorUnavailable(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Hedge: 20 * time.Millisecond, RequestTimeout: time.Second})
+	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

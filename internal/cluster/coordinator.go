@@ -29,23 +29,28 @@ const (
 	maxBatchBaskets  = 1024
 )
 
+// Coordinator timing.
+const (
+	// healthEvery is the health-check cadence, and the backoff after a
+	// 503 that carries no Retry-After.
+	healthEvery = time.Second
+
+	// attemptTimeout bounds each proxied request attempt and each health
+	// probe.
+	attemptTimeout = 5 * time.Second
+
+	// hedgeAfter is how long a recommend route waits on one replica
+	// before racing a second attempt against the next: hedging is how a
+	// stalled replica is survived without burning the whole attempt
+	// timeout.
+	hedgeAfter = 250 * time.Millisecond
+)
+
 // CoordinatorConfig wires a Coordinator.
 type CoordinatorConfig struct {
 	// Replicas are the base URLs of the replica fleet
 	// (e.g. "http://10.0.0.1:8080").
 	Replicas []string
-
-	// HealthEvery is the health-check cadence (default 1s).
-	HealthEvery time.Duration
-
-	// RequestTimeout bounds each proxied request attempt (default 5s).
-	RequestTimeout time.Duration
-
-	// Hedge is how long the coordinator waits on the primary replica
-	// before racing a second attempt against the next one (default
-	// 250ms; 0 keeps the default — hedging is how a stalled replica is
-	// survived without burning the whole request timeout).
-	Hedge time.Duration
 
 	// SpoolDir persists shipped segments ("" = memory only).
 	SpoolDir string
@@ -119,15 +124,6 @@ type Coordinator struct {
 // loop (Run) and at least one replica are required for routing, but a
 // coordinator with an empty fleet still aggregates segments.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.HealthEvery <= 0 {
-		cfg.HealthEvery = time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.Hedge <= 0 {
-		cfg.Hedge = 250 * time.Millisecond
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -138,7 +134,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.RequestTimeout},
+		client: &http.Client{Timeout: attemptTimeout},
 		logf:   logf,
 		spool:  spool,
 	}
@@ -210,7 +206,7 @@ func (c *Coordinator) Spool() *Spool { return c.spool }
 // Run drives the health loop until ctx is done. The first pass runs
 // immediately.
 func (c *Coordinator) Run(ctx context.Context) {
-	ticker := time.NewTicker(c.cfg.HealthEvery)
+	ticker := time.NewTicker(healthEvery)
 	defer ticker.Stop()
 	for {
 		c.CheckHealth(ctx)
@@ -234,7 +230,7 @@ func (c *Coordinator) CheckHealth(ctx context.Context) {
 		wg.Add(1)
 		go func(rs *replicaState) {
 			defer wg.Done()
-			reqCtx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+			reqCtx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, rs.name+"/healthz", nil)
 			if err != nil {
@@ -262,7 +258,7 @@ func (c *Coordinator) CheckHealth(ctx context.Context) {
 				// Draining or model-less: back off per Retry-After instead
 				// of hammering it every pass.
 				rs.healthy.Store(false)
-				rs.backoff(retryAfter(resp, c.cfg.HealthEvery))
+				rs.backoff(retryAfter(resp, healthEvery))
 			default:
 				rs.healthy.Store(false)
 			}
@@ -326,13 +322,15 @@ type proxyResult struct {
 	replica string
 }
 
-// forward sends body to path on the replicas of order, hedging: the
-// next replica is raced either when the current attempt fails outright
-// or when it has not answered within the hedge window. The first
-// conclusive answer (anything below 500) wins; 5xx and transport
-// errors fall through to the next replica. A replica that answers 503
-// is backed off per its Retry-After.
-func (c *Coordinator) forward(ctx context.Context, method, path string, header http.Header, body []byte, order []*replicaState) (*proxyResult, error) {
+// forward sends body to path on the replicas of order. The next
+// replica is tried when the current attempt fails outright and, if
+// hedge is set, also raced when the current attempt has not answered
+// within hedgeAfter. The first conclusive answer (anything below 500)
+// wins; 5xx and transport errors fall through to the next replica. A
+// replica that answers 503 is backed off per its Retry-After. Only an
+// idempotent request may hedge: a raced duplicate of a write is
+// performed twice.
+func (c *Coordinator) forward(ctx context.Context, method, path string, header http.Header, body []byte, order []*replicaState, hedge bool) (*proxyResult, error) {
 	if len(order) == 0 {
 		return nil, errors.New("no replicas configured")
 	}
@@ -355,20 +353,26 @@ func (c *Coordinator) forward(ctx context.Context, method, path string, header h
 	pending := 1
 	var lastErr error
 	sawUnavailable := false
-	timer := time.NewTimer(c.cfg.Hedge)
-	defer timer.Stop()
+	// A nil channel never fires: without hedging the timer does not exist.
+	var timer *time.Timer
+	var slow <-chan time.Time
+	if hedge {
+		timer = time.NewTimer(hedgeAfter)
+		defer timer.Stop()
+		slow = timer.C
+	}
 	for pending > 0 {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-timer.C:
+		case <-slow:
 			// The outstanding attempt is slow; hedge onto the next
 			// replica rather than waiting out its full timeout.
 			if launched < len(order) {
 				c.hedges.Add(1)
 				launch()
 				pending++
-				timer.Reset(c.cfg.Hedge)
+				timer.Reset(hedgeAfter)
 			}
 		case a := <-results:
 			pending--
@@ -391,13 +395,15 @@ func (c *Coordinator) forward(ctx context.Context, method, path string, header h
 				c.failovers.Add(1)
 				launch()
 				pending++
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
+				if timer != nil {
+					if !timer.Stop() {
+						select {
+						case <-timer.C:
+						default:
+						}
 					}
+					timer.Reset(hedgeAfter)
 				}
-				timer.Reset(c.cfg.Hedge)
 			}
 		}
 	}
@@ -409,7 +415,7 @@ func (c *Coordinator) forward(ctx context.Context, method, path string, header h
 
 // attempt performs one forwarded request against one replica.
 func (c *Coordinator) attempt(ctx context.Context, rs *replicaState, method, path string, header http.Header, body []byte) (*proxyResult, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	reqCtx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, method, rs.name+path, bytes.NewReader(body))
 	if err != nil {
@@ -429,7 +435,7 @@ func (c *Coordinator) attempt(ctx context.Context, rs *replicaState, method, pat
 		return nil, fmt.Errorf("%s: reading response: %w", rs.name, err)
 	}
 	if resp.StatusCode == http.StatusServiceUnavailable {
-		rs.backoff(retryAfter(resp, c.cfg.HealthEvery))
+		rs.backoff(retryAfter(resp, healthEvery))
 	}
 	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: data, replica: rs.name}, nil
 }
@@ -439,7 +445,7 @@ func (c *Coordinator) attempt(ctx context.Context, rs *replicaState, method, pat
 //	GET  /healthz          — fleet health, spool size, cluster drift flag
 //	POST /recommend        — route one basket (consistent hash, hedged)
 //	POST /recommend/batch  — fan out a batch with per-basket isolation
-//	POST /outcome          — route an outcome report by rule ID
+//	POST /outcome          — route an outcome report by rule ID (never hedged)
 //	GET  /feedback/stats   — deterministic cluster-wide accounting
 //	GET  /metrics          — merged fleet + coordinator counters
 //	GET  /version          — merged model/build view, skew detection
@@ -535,16 +541,16 @@ func basketKey(rawBasket []byte) string {
 }
 
 // proxyPost routes one single-object POST (recommend, outcome) by key
-// with hedged failover, relaying the replica's status, body, and
-// model-version header.
-func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path string, limit int64, key func([]byte) string) {
+// with failover, hedged when the request is idempotent, relaying the
+// replica's status, body, and model-version header.
+func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path string, limit int64, key func([]byte) string, hedge bool) {
 	body, ok := readBody(w, r, limit)
 	if !ok {
 		return
 	}
 	order := c.order(key(body))
 	header := http.Header{"Content-Type": r.Header["Content-Type"]}
-	res, err := c.forward(r.Context(), http.MethodPost, path, header, body, order)
+	res, err := c.forward(r.Context(), http.MethodPost, path, header, body, order, hedge)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		failJSON(w, http.StatusServiceUnavailable, "no replica answered: "+err.Error())
@@ -563,7 +569,7 @@ func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path str
 }
 
 func (c *Coordinator) recommend(w http.ResponseWriter, r *http.Request) {
-	c.proxyPost(w, r, "/recommend", maxRecommendBody, basketKey)
+	c.proxyPost(w, r, "/recommend", maxRecommendBody, basketKey, true)
 }
 
 func (c *Coordinator) outcome(w http.ResponseWriter, r *http.Request) {
@@ -575,7 +581,7 @@ func (c *Coordinator) outcome(w http.ResponseWriter, r *http.Request) {
 		//lint:allow droppederr -- routing key extraction only: a malformed body routes by the empty key and the replica reports the real 400 to the caller
 		_ = json.Unmarshal(body, &probe)
 		return probe.RuleID
-	})
+	}, false)
 }
 
 // batchGroup is one replica-bound slice of a fanned-out batch.
@@ -627,7 +633,7 @@ func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			header := http.Header{"Content-Type": []string{"application/json"}}
-			res, err := c.forward(r.Context(), http.MethodPost, "/recommend/batch", header, subBody, g.order)
+			res, err := c.forward(r.Context(), http.MethodPost, "/recommend/batch", header, subBody, g.order, true)
 			if err != nil {
 				fillErrors(results, g.indexes, "no replica answered: "+err.Error())
 				return

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestFailoverCounters pins the /metrics split between hedges (slow
@@ -63,5 +68,67 @@ func TestFailoverCounters(t *testing.T) {
 	}
 	if _, ok := co["hedges"].(float64); !ok {
 		t.Fatal("/metrics lost the hedges counter")
+	}
+}
+
+// TestOutcomeNeverHedged pins exactly-once outcome routing under slow
+// replicas: an outcome is recorded wherever it lands, so the
+// coordinator must wait on a slow replica rather than race the report
+// to a second one. Both replicas answer /outcome only after more than
+// the hedge window; every report must reach exactly one replica, and
+// the fleet must aggregate exactly the acked count.
+func TestOutcomeNeverHedged(t *testing.T) {
+	coord, cts, stacks := newFleet(t, 2, CoordinatorConfig{})
+
+	var calls atomic.Int64
+	var inFlight sync.WaitGroup
+	slowURLs := make([]string, len(stacks))
+	for i, st := range stacks {
+		h := st.ts.Config.Handler
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/outcome" {
+				inFlight.Add(1)
+				defer inFlight.Done()
+				calls.Add(1)
+				time.Sleep(hedgeAfter + 150*time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(slow.Close)
+		slowURLs[i] = slow.URL
+	}
+	coord.SetReplicas(slowURLs)
+	coord.CheckHealth(context.Background())
+
+	resp, body := postJSON(t, cts.URL+"/recommend", `{"basket":[{"item":"Beer","promoIx":0,"qty":1}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/recommend: %d %v", resp.StatusCode, body)
+	}
+	ruleID := body["recommendations"].([]any)[0].(map[string]any)["ruleID"].(string)
+
+	const acked = 3
+	for i := 0; i < acked; i++ {
+		resp, body := postJSON(t, cts.URL+"/outcome",
+			fmt.Sprintf(`{"ruleID":%q,"modelVersion":1,"bought":true,"qty":1}`, ruleID))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("outcome %d: %d %v", i, resp.StatusCode, body)
+		}
+	}
+	// A raced duplicate still records after the caller was answered;
+	// wait for every replica-side handler before counting.
+	inFlight.Wait()
+	for i, st := range stacks {
+		if _, err := st.rep.ShipNow(context.Background()); err != nil {
+			t.Fatalf("replica %d ship: %v", i, err)
+		}
+	}
+	if got := coord.hedges.Load(); got != 0 {
+		t.Errorf("coordinator hedged %d outcome reports", got)
+	}
+	if got := calls.Load(); got != acked {
+		t.Errorf("replicas received %d outcome reports for %d acked", got, acked)
+	}
+	if got := coord.Spool().Outcomes(); got != acked {
+		t.Fatalf("fleet aggregated %d outcomes for %d acked", got, acked)
 	}
 }

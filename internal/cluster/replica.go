@@ -41,19 +41,18 @@ type ReplicaConfig struct {
 	// disables model sync.
 	Registry *registry.Registry
 
-	// ShipEvery is the seal-and-ship cadence (default 2s).
-	ShipEvery time.Duration
-
-	// SyncEvery is the model-sync poll cadence (default 2s).
-	SyncEvery time.Duration
-
-	// RequestTimeout bounds each coordinator call (default 10s; model
-	// pulls move whole model files).
-	RequestTimeout time.Duration
-
 	// Logf receives operational log lines (nil discards).
 	Logf func(format string, args ...any)
 }
+
+// Replica timing: the seal-and-ship cadence, the model-sync poll
+// cadence, and the bound on each coordinator call (generous because a
+// model pull moves a whole image).
+const (
+	shipEvery   = 2 * time.Second
+	syncEvery   = 2 * time.Second
+	callTimeout = 10 * time.Second
+)
 
 // Replica runs the two cluster loops of one fleet member: the shipper,
 // which seals the local feedback WAL on a cadence and streams every
@@ -79,22 +78,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Coordinator == "" {
 		return nil, errors.New("cluster: replica needs a coordinator URL")
 	}
-	if cfg.ShipEvery <= 0 {
-		cfg.ShipEvery = 2 * time.Second
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 2 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Replica{
 		cfg:     cfg,
-		client:  &http.Client{Timeout: cfg.RequestTimeout},
+		client:  &http.Client{Timeout: callTimeout},
 		logf:    logf,
 		shipped: make(map[string]bool),
 	}, nil
@@ -108,9 +98,9 @@ func (r *Replica) Run(ctx context.Context) {
 	if _, err := r.SyncModel(ctx); err != nil {
 		r.logf("cluster: initial model sync: %v", err)
 	}
-	ship := time.NewTicker(r.cfg.ShipEvery)
+	ship := time.NewTicker(shipEvery)
 	defer ship.Stop()
-	syncT := time.NewTicker(r.cfg.SyncEvery)
+	syncT := time.NewTicker(syncEvery)
 	defer syncT.Stop()
 	for {
 		select {
@@ -118,7 +108,7 @@ func (r *Replica) Run(ctx context.Context) {
 			// Final drain pass on a fresh context: ctx is already dead,
 			// but the sealed tail of the WAL should still reach the
 			// coordinator if it is reachable.
-			flushCtx, cancel := context.WithTimeout(context.Background(), r.cfg.RequestTimeout)
+			flushCtx, cancel := context.WithTimeout(context.Background(), callTimeout)
 			if _, err := r.ShipNow(flushCtx); err != nil {
 				r.logf("cluster: final segment ship: %v", err)
 			}
@@ -188,7 +178,7 @@ func (r *Replica) ShipNow(ctx context.Context) (int, error) {
 
 // shipSegment POSTs one sealed segment. Callers hold r.mu.
 func (r *Replica) shipSegment(ctx context.Context, seq int, data []byte) error {
-	hash := hashBytes(data)
+	hash := registry.HashBytes(data)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.Coordinator+"/cluster/segment", bytes.NewReader(data))
 	if err != nil {
 		return err
@@ -209,7 +199,7 @@ func (r *Replica) shipSegment(ctx context.Context, seq int, data []byte) error {
 		r.logf("cluster: shipped segment %.8s (%d bytes)", hash, len(data))
 		return nil
 	case http.StatusServiceUnavailable:
-		r.pauseUntil = time.Now().Add(retryAfter(resp, r.cfg.ShipEvery))
+		r.pauseUntil = time.Now().Add(retryAfter(resp, shipEvery))
 		return fmt.Errorf("cluster: coordinator unavailable (backing off): %s", bytes.TrimSpace(body))
 	default:
 		return fmt.Errorf("cluster: coordinator rejected segment %.8s: %d %s", hash, resp.StatusCode, bytes.TrimSpace(body))

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"profitmining/internal/feedback"
+	"profitmining/internal/registry"
 )
 
 // Spool is the coordinator's store of shipped WAL segments and the
@@ -93,7 +94,7 @@ func NewSpool(dir string, drift feedback.DriftConfig) (*Spool, error) {
 // lexicographically ordered; the sequence is zero-padded hex so string
 // order equals numeric order.
 func SpoolKey(nodeID string, seq int) string {
-	return fmt.Sprintf("%s-%016x", hashBytes([]byte(nodeID)), seq)
+	return fmt.Sprintf("%s-%016x", registry.HashBytes([]byte(nodeID)), seq)
 }
 
 // Ingest validates and admits one shipped segment. It verifies the
@@ -106,7 +107,7 @@ func (s *Spool) Ingest(nodeID string, seq int, claimedHash string, data []byte) 
 	if seq < 1 {
 		return "", false, fmt.Errorf("cluster: segment sequence %d out of range", seq)
 	}
-	if got := hashBytes(data); got != claimedHash {
+	if got := registry.HashBytes(data); got != claimedHash {
 		return "", false, fmt.Errorf("cluster: segment hash mismatch: claimed %.8s, got %.8s", claimedHash, got)
 	}
 	if err := feedback.ParseSegment(data, func([]byte) error { return nil }); err != nil {

@@ -8,12 +8,14 @@ import (
 	"profitmining/internal/model"
 )
 
-// Report renders a human-readable summary of the built model: size and
+// Report renders a human-readable summary of the model: size and
 // depth, rule-length distribution, which target items the rules recommend
 // and how much projected profit each carries, and how much of the
 // training data falls through to the default rule. It is the
 // interpretability surface of Requirement 5 at the model (rather than
-// per-recommendation) level.
+// per-recommendation) level. The first three lines come from the sealed
+// image; the per-target and default-rule sections need the covering
+// tree, so a model opened from disk reports without them.
 func (r *Recommender) Report() string {
 	var b strings.Builder
 	st := r.Stats()
@@ -21,11 +23,13 @@ func (r *Recommender) Report() string {
 		st.RulesFinal, st.RulesGenerated, st.RulesNonDominated, st.TreeDepth)
 	fmt.Fprintf(&b, "projected profit on covered customers: %.2f\n", st.ProjectedProfit)
 
-	// Rule-length distribution.
+	// Rule-length distribution over the final rules, which lead the
+	// image's rule table.
+	rt := r.image.Rules()
 	byLen := map[int]int{}
 	maxLen := 0
-	for _, rule := range r.final {
-		l := len(rule.Body)
+	for i := 0; i < st.RulesFinal; i++ {
+		l := int(rt.BodyLen(int32(i)))
 		byLen[l]++
 		if l > maxLen {
 			maxLen = l
@@ -38,6 +42,9 @@ func (r *Recommender) Report() string {
 		}
 	}
 	b.WriteString("\n")
+	if r.tree == nil {
+		return b.String()
+	}
 
 	// Per-target head distribution with projected profit.
 	type headStat struct {

@@ -28,7 +28,7 @@ type Recommendation struct {
 }
 
 // Ledger counts every request the simulator failed to land. The soak
-// gate requires DroppedOutcomes to be zero: an acked recommendation
+// gates require Dropped to be zero: an acked recommendation
 // whose outcome never reached the collector is exactly the data loss
 // the feedback pipeline exists to prevent.
 type Ledger struct {
@@ -43,15 +43,12 @@ func (l *Ledger) Dropped() int64 {
 
 // Client issues the simulator's HTTP requests against one base URL
 // (single node or coordinator — the wire surface is identical) and
-// accounts per-endpoint client-side latency and failures. Safe for
-// concurrent use.
+// accounts failures per endpoint. Safe for concurrent use.
 type Client struct {
 	Base string
 	HC   *http.Client
 
-	RecommendHist Hist
-	OutcomeHist   Hist
-	Ledger        Ledger
+	Ledger Ledger
 }
 
 // NewClient wraps base with the default HTTP client.
@@ -67,7 +64,6 @@ func NewClient(base string, hc *http.Client) *Client {
 // answered request with an empty list is not an error). Failures are
 // counted in the ledger and returned.
 func (c *Client) Recommend(payload []byte) (*Recommendation, error) {
-	start := time.Now()
 	resp, err := c.HC.Post(c.Base+"/recommend", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		c.Ledger.RecommendErrors.Add(1)
@@ -75,7 +71,6 @@ func (c *Client) Recommend(payload []byte) (*Recommendation, error) {
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
-	c.RecommendHist.Record(time.Since(start))
 	if err != nil {
 		c.Ledger.RecommendErrors.Add(1)
 		return nil, fmt.Errorf("simload: read /recommend response: %w", err)
@@ -122,7 +117,6 @@ func (c *Client) ReportOutcome(requestID, ruleID string, modelVersion int, bough
 	if err != nil {
 		return false, err
 	}
-	start := time.Now()
 	resp, err := c.HC.Post(c.Base+"/outcome", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		c.Ledger.OutcomeErrors.Add(1)
@@ -130,7 +124,6 @@ func (c *Client) ReportOutcome(requestID, ruleID string, modelVersion int, bough
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	resp.Body.Close()
-	c.OutcomeHist.Record(time.Since(start))
 	if err != nil {
 		c.Ledger.OutcomeErrors.Add(1)
 		return false, fmt.Errorf("simload: read /outcome response: %w", err)

@@ -14,22 +14,17 @@
 // re-mining, staging, and promotion: the whole loop the paper's
 // actions are supposed to survive.
 //
-// Two execution modes:
+// Run is a virtual clock: a single-threaded event loop advances a
+// simulated clock through diurnal + burst session arrivals and
+// think-time-separated session steps, issuing real HTTP requests
+// sequentially. All randomness flows through one seeded source in event
+// order, and drift alarms are consumed synchronously from the POST
+// /outcome receipts — so the same seed replays the same schedule
+// exactly and the final /feedback/stats is bit-identical across runs.
+// Every failed request is counted in the client's Ledger. BenchmarkSoak
+// gates both serving topologies on this, and TestSoakLiveServer drives
+// it against an out-of-process server.
 //
-//   - Run: virtual-clock mode. A single-threaded event loop advances a
-//     simulated clock through diurnal + burst session arrivals and
-//     think-time-separated session steps, issuing real HTTP requests
-//     sequentially. All randomness flows through one seeded source in
-//     event order, and drift alarms are consumed synchronously from the
-//     POST /outcome receipts — so the same seed replays the same
-//     schedule exactly and the final /feedback/stats is bit-identical
-//     across runs. This is the mode the soak gate's determinism check
-//     uses.
-//
-//   - RunOpenLoop: wall-clock mode. A pacer dispatches a pre-generated
-//     (and therefore still seed-deterministic) request schedule at a
-//     target QPS to a worker pool; per-endpoint latency lands in
-//     HDR-style log-bucketed histograms and every failed request is
-//     accounted in the dropped ledger. Timing-dependent, by design —
-//     this mode measures the server, not the schedule.
+// Wall-clock open-loop load (latency under a target rate) is the
+// perfbench module's job, not this package's.
 package simload

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"profitmining/internal/core"
 	"profitmining/internal/datagen"
 	"profitmining/internal/model"
 )
@@ -66,7 +67,7 @@ func NewPopulation(ds *model.Dataset, truth *datagen.GroundTruth, users int) (*P
 		for _, sl := range txn.NonTarget {
 			req.Basket = append(req.Basket, saleReq{
 				Item:    ds.Catalog.Item(sl.Item).Name,
-				PromoIx: promoIndex(ds.Catalog, sl),
+				PromoIx: core.PromoIndex(ds.Catalog, sl.Item, sl.Promo),
 				Qty:     sl.Qty,
 			})
 		}
@@ -102,15 +103,4 @@ func NewPopulation(ds *model.Dataset, truth *datagen.GroundTruth, users int) (*P
 		p.HomeCell[u] = cell
 	}
 	return p, nil
-}
-
-// promoIndex resolves a sale's promotion ID to its index within the
-// item — the wire representation of a price level.
-func promoIndex(cat *model.Catalog, sl model.Sale) int {
-	for i, pr := range cat.Promos(sl.Item) {
-		if pr == sl.Promo {
-			return i
-		}
-	}
-	return 0
 }

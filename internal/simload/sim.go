@@ -106,10 +106,9 @@ type Result struct {
 	// event — the bytes the determinism gate compares across runs.
 	FinalStats []byte
 
-	// Client carries the wall-clock latency histograms and the ledger.
-	// Latency is real time even in virtual-clock mode (the virtual clock
-	// schedules events; HTTP requests are real), so it is reporting
-	// data, not part of the deterministic surface.
+	// Client is the HTTP client the run used; its base URL answers the
+	// same wire surface after the run (harnesses read a fleet's final
+	// /feedback/stats through it).
 	Client *Client
 }
 

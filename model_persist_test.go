@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"profitmining"
@@ -41,6 +42,18 @@ func TestModelPersistenceFacade(t *testing.T) {
 			t.Fatalf("basket %d: loaded model recommends %s [%s], original %s [%s]",
 				i, cat2.Item(b.Item).Name, b.ID, g.Dataset.Catalog.Item(a.Item).Name, a.ID)
 		}
+	}
+
+	// A loaded model has no covering tree: its report is the built
+	// model's first three lines (size, projected profit, rules by body
+	// length), read off the image.
+	built, loaded := rec.Report(), rec2.Report()
+	lines := strings.SplitAfter(built, "\n")
+	if len(lines) < 4 || !strings.HasPrefix(lines[2], "rules by body length:") {
+		t.Fatalf("built report lost its header lines:\n%s", built)
+	}
+	if want := strings.Join(lines[:3], ""); loaded != want {
+		t.Fatalf("loaded model reports\n%s\nwant the built report's header\n%s", loaded, want)
 	}
 }
 

@@ -2,14 +2,14 @@
 # soak-smoke: closed-loop soak against a real, out-of-process server.
 #
 # profitgen writes a Dataset-I file; profitserve loads it in windowed
-# mode with tight drift thresholds; profitbench -soakbench -soakurl
-# then replays the SAME generator world (identical -txns/-items/-seed
-# reproduce the ground truth byte-for-byte) as sessionized synthetic
-# users over real HTTP. Mid-run the generator's buy model collapses,
-# sustained misses trip the server's drift detector, and its in-process
-# windowed delta refresh must promote a new model version — all of
-# which soakbench gates on (zero dropped outcomes, >=1 drift alarm,
-# >=1 promotion) before writing BENCH_soak_external.json.
+# mode with tight drift thresholds; TestSoakLiveServer (internal/simload)
+# then replays the SAME generator world (its fixed 3000 transactions,
+# 80 items and seed 5 reproduce the ground truth byte-for-byte) as
+# sessionized synthetic users over real HTTP. Mid-run the generator's
+# buy model collapses, sustained misses trip the server's drift
+# detector, and its in-process windowed refresh must promote a new
+# model version — all of which the test gates on (zero dropped
+# outcomes, >=1 drift alarm, a /version bump within 15 s).
 set -euo pipefail
 
 ADDR="127.0.0.1:${SMOKE_PORT:-18090}"
@@ -38,7 +38,8 @@ json_field() { # json_field <field> — first string value of "field" on stdin
     grep -o "\"$1\":\"[^\"]*\"" | head -n1 | cut -d'"' -f4
 }
 
-# One generator world, shared by file (server) and in memory (simulator).
+# One generator world, shared by file (server) and in memory (simulator);
+# TestSoakLiveServer generates the same one.
 TXNS=3000
 ITEMS=80
 SEED=5
@@ -49,7 +50,7 @@ go run ./cmd/profitgen -dataset I -txns "$TXNS" -items "$ITEMS" -seed "$SEED" \
 
 echo "== starting windowed profitserve with tight drift thresholds"
 go build -o "$workdir/profitserve" ./cmd/profitserve
-# Drift config mirrors soakbench's in-process stacks: small lambda and
+# Drift config mirrors BenchmarkSoak's in-process stacks: small lambda and
 # delta so the mid-run buy-model shock trips the detector within the
 # short smoke horizon.
 "$workdir/profitserve" -data "$workdir/data.pmjl" -minsup 0.01 \
@@ -68,14 +69,8 @@ hash1=$(curl -sf "$BASE/version" | json_field hash)
 echo "   serving $hash1 over the initial window"
 
 echo "== driving the closed-loop soak over real HTTP"
-go run ./cmd/profitbench -soakbench -soakurl "$BASE" \
-    -txns "$TXNS" -items "$ITEMS" -seed "$SEED" \
-    -soakusers 20000 -soakvirt 20 -soakrate 8 \
-    -soakout "$workdir/BENCH_soak_external.json" \
-    || fail "soakbench gates failed against the live server"
-
-grep -q '"gatesPassed": true' "$workdir/BENCH_soak_external.json" \
-    || fail "report does not record gatesPassed"
+PM_SOAK_URL=$BASE go test ./internal/simload -run '^TestSoakLiveServer$' -count=1 -v \
+    || fail "soak gates failed against the live server"
 
 hash2=$(curl -sf "$BASE/version" | json_field hash)
 [ -n "$hash2" ] || fail "/version returned no hash after the soak"
