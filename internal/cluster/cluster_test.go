@@ -72,10 +72,10 @@ type stack struct {
 	rep    *Replica
 }
 
-func newStack(t testing.TB, coordinatorURL string) *stack {
+func newStack(t testing.TB, coordinatorURL string, wal feedback.WALOptions) *stack {
 	t.Helper()
 	walDir := t.TempDir()
-	fb, _, err := feedback.Open(feedback.Config{Dir: walDir})
+	fb, _, err := feedback.Open(feedback.Config{Dir: walDir, WAL: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func newFleet(t testing.TB, n int, cfg CoordinatorConfig) (*Coordinator, *httpte
 	stacks := make([]*stack, n)
 	names := make([]string, n)
 	for i := range stacks {
-		stacks[i] = newStack(t, cts.URL)
+		stacks[i] = newStack(t, cts.URL, feedback.WALOptions{})
 		names[i] = stacks[i].ts.URL
 	}
 	coord.SetReplicas(names)

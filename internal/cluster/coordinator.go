@@ -65,7 +65,8 @@ type CoordinatorConfig struct {
 
 	// Model, when non-empty, is the initial sealed model image
 	// distributed to replicas via /cluster/model; NewCoordinator fails
-	// on anything else.
+	// on anything else. It is kept as SetModel keeps its image, so the
+	// caller must not modify it afterwards.
 	Model []byte
 
 	// Logf receives operational log lines (nil discards).
@@ -179,13 +180,18 @@ func (c *Coordinator) SetReplicas(names []string) {
 // it against their active snapshot and pull only when it changes.
 // Anything but a sealed image is refused (nothing is published, and
 // the result is "").
+//
+// The coordinator keeps data itself, not a copy, and serves it until
+// the next SetModel: the caller must not modify it afterwards. A
+// sealed image handed out by core is never modified, and replicas
+// verify every image they pull.
 func (c *Coordinator) SetModel(data []byte) string {
 	hash := modelio.ContentHash(data)
 	if hash == "" {
 		c.logf("cluster: refusing to distribute a model that is not a sealed image (%d bytes)", len(data))
 		return ""
 	}
-	blob := &modelBlob{data: append([]byte(nil), data...), hash: hash}
+	blob := &modelBlob{data: data, hash: hash}
 	c.model.Store(blob)
 	c.logf("cluster: distributing model %.8s (%d bytes)", blob.hash, len(blob.data))
 	return blob.hash
@@ -430,7 +436,7 @@ func (c *Coordinator) attempt(ctx context.Context, rs *replicaState, method, pat
 		return nil, fmt.Errorf("%s: %w", rs.name, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readSized(resp.Body, resp.ContentLength, maxReplicaAnswer, peerPresize)
 	if err != nil {
 		return nil, fmt.Errorf("%s: reading response: %w", rs.name, err)
 	}
@@ -506,8 +512,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		failJSON(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	data, err := io.ReadAll(r.Body)
+	data, err := readSized(r.Body, r.ContentLength, limit, peerPresize)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -14,6 +14,7 @@ import (
 	"profitmining/internal/core"
 	"profitmining/internal/datagen"
 	"profitmining/internal/dataio"
+	"profitmining/internal/feedback"
 	"profitmining/internal/hierarchy"
 	"profitmining/internal/mining"
 	"profitmining/internal/modelio"
@@ -144,7 +145,7 @@ func TestReplicaRejectsUnsealedModel(t *testing.T) {
 		w.Write([]byte(`{"format":"profitmining-model/v2"}`))
 	}))
 	t.Cleanup(fake.Close)
-	st := newStack(t, fake.URL)
+	st := newStack(t, fake.URL, feedback.WALOptions{})
 	if _, err := st.rep.SyncModel(context.Background()); err == nil {
 		t.Fatal("replica accepted a model that is not a sealed image")
 	}

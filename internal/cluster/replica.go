@@ -243,7 +243,9 @@ func (r *Replica) SyncModel(ctx context.Context) (bool, error) {
 	default:
 		return false, fmt.Errorf("cluster: model pull answered %d", resp.StatusCode)
 	}
-	data, err := io.ReadAll(resp.Body)
+	// The coordinator this replica follows is trusted to declare the
+	// image's length: the body is read into one slice of that size.
+	data, err := readSized(resp.Body, resp.ContentLength, maxModelImage, maxModelImage)
 	if err != nil {
 		return false, fmt.Errorf("cluster: reading model body: %w", err)
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,6 +34,12 @@ import (
 // captures both, and a node re-shipping a sequence with *different*
 // bytes is rejected as corruption — sealed segments are immutable.
 //
+// A segment is admitted whole or not at all: every frame and every
+// record must decode before anything is stored. The spool then keeps
+// only the segment's verified hash and its records decoded, never its
+// bytes, so a refold re-applies decoded records and a re-ship is
+// checked against the hash.
+//
 // With a directory configured, admitted segments are also spooled to
 // disk (<spoolKey>.walseg) and reloaded on restart, making the
 // coordinator's aggregate as durable as the replicas' logs.
@@ -43,22 +48,30 @@ type Spool struct {
 	dir   string // "" = memory only
 	drift feedback.DriftConfig
 
-	segs map[string][]byte // spool key → segment bytes
+	segs map[string]spooled // spool key → admitted segment
 
-	// fold is the cached cluster fold; foldKeys are the spool keys it
-	// has applied, ascending. A new segment whose key sorts after every
-	// applied key extends the fold in place; one that sorts earlier
-	// forces a rebuild, because the deterministic order says its records
+	// fold is the cached cluster fold and lastKey the greatest spool key
+	// it has applied. A new segment whose key sorts after lastKey
+	// extends the fold in place; one that sorts earlier forces a
+	// rebuild, because the deterministic order says its records
 	// happened "before" records already folded.
-	fold     *feedback.Fold
-	foldKeys []string
+	fold    *feedback.Fold
+	lastKey string
 }
 
-// NewSpool opens a spool, reloading (and strictly re-validating) any
-// segments already on disk in dir. An empty dir keeps the spool in
-// memory only.
+// spooled is one admitted segment: the sha256 of its bytes, which a
+// re-ship must match, and its records, decoded once at admission.
+type spooled struct {
+	hash string
+	recs []feedback.FoldRecord
+}
+
+// NewSpool opens a spool, reloading (and strictly re-validating and
+// decoding, as Ingest does) any segments already on disk in dir; a
+// spooled segment that does not decode fails the open. An empty dir
+// keeps the spool in memory only.
 func NewSpool(dir string, drift feedback.DriftConfig) (*Spool, error) {
-	s := &Spool{dir: dir, drift: drift, segs: make(map[string][]byte), fold: feedback.NewFold(drift)}
+	s := &Spool{dir: dir, drift: drift, segs: make(map[string]spooled), fold: feedback.NewFold(drift)}
 	if dir == "" {
 		return s, nil
 	}
@@ -78,11 +91,11 @@ func NewSpool(dir string, drift feedback.DriftConfig) (*Spool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: reading spooled segment: %w", err)
 		}
-		key := strings.TrimSuffix(name, ".walseg")
-		if err := feedback.ParseSegment(data, func([]byte) error { return nil }); err != nil {
+		recs, err := decodeSegment(data)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: spooled segment %s: %w", name, err)
 		}
-		s.segs[key] = data
+		s.segs[strings.TrimSuffix(name, ".walseg")] = spooled{hash: registry.HashBytes(data), recs: recs}
 	}
 	s.rebuildLocked()
 	return s, nil
@@ -98,26 +111,39 @@ func SpoolKey(nodeID string, seq int) string {
 }
 
 // Ingest validates and admits one shipped segment. It verifies the
-// claimed content hash and every CRC frame before admission. A segment
-// already present with identical bytes (a re-ship after a replica
-// restart) is a no-op; the same (node, seq) with different bytes is an
-// error, because sealed segments are immutable by contract. added
-// reports whether the segment was new.
+// claimed content hash, which alone settles a re-ship: a segment
+// already present with the same hash (a re-ship after a replica
+// restart) is a no-op, and the same (node, seq) with a different hash
+// is an error, because sealed segments are immutable by contract. A
+// new segment must pass every CRC frame and decode every record before
+// it is admitted, so a segment that fails any check leaves the spool
+// as it was. added reports whether the segment was new.
 func (s *Spool) Ingest(nodeID string, seq int, claimedHash string, data []byte) (key string, added bool, err error) {
 	if seq < 1 {
 		return "", false, fmt.Errorf("cluster: segment sequence %d out of range", seq)
 	}
-	if got := registry.HashBytes(data); got != claimedHash {
-		return "", false, fmt.Errorf("cluster: segment hash mismatch: claimed %.8s, got %.8s", claimedHash, got)
-	}
-	if err := feedback.ParseSegment(data, func([]byte) error { return nil }); err != nil {
-		return "", false, err
+	hash := registry.HashBytes(data)
+	if hash != claimedHash {
+		return "", false, fmt.Errorf("cluster: segment hash mismatch: claimed %.8s, got %.8s", claimedHash, hash)
 	}
 	key = SpoolKey(nodeID, seq)
 	s.mu.Lock()
+	_, shipped := s.segs[key]
+	s.mu.Unlock()
+	var recs []feedback.FoldRecord
+	if !shipped {
+		// Only a new segment is decoded. A restarted replica re-ships
+		// its whole backlog, and a re-ship is settled by its hash below;
+		// admitted segments are never dropped, so one seen here is seen
+		// there.
+		if recs, err = decodeSegment(data); err != nil {
+			return "", false, err
+		}
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if have, ok := s.segs[key]; ok {
-		if !bytes.Equal(have, data) {
+		if have.hash != hash {
 			return "", false, fmt.Errorf("cluster: node %s re-shipped segment %d with different content", nodeID, seq)
 		}
 		return key, false, nil
@@ -133,29 +159,47 @@ func (s *Spool) Ingest(nodeID string, seq int, claimedHash string, data []byte) 
 			return "", false, fmt.Errorf("cluster: spooling segment: %w", err)
 		}
 	}
-	s.segs[key] = append([]byte(nil), data...)
+	s.segs[key] = spooled{hash: hash, recs: recs}
 
 	// Maintain the cached fold: an append at the end of the total order
 	// extends in place; anything else rebuilds from scratch.
-	if n := len(s.foldKeys); n == 0 || s.foldKeys[n-1] < key {
-		if err := feedback.ParseSegment(data, applyAs(s.fold, key)); err != nil {
-			return "", false, err
-		}
-		s.foldKeys = append(s.foldKeys, key)
+	if key > s.lastKey {
+		applySegment(s.fold, key, recs)
+		s.lastKey = key
 	} else {
 		s.rebuildLocked()
 	}
 	return key, true, nil
 }
 
-// applyAs binds a fold to the node identity embedded in a spool key
-// (the hashed node component before the sequence suffix).
-func applyAs(f *feedback.Fold, spoolKey string) func([]byte) error {
+// decodeSegment checks every frame of a segment and decodes every
+// record, returning the records only when all of them decode.
+func decodeSegment(data []byte) ([]feedback.FoldRecord, error) {
+	var recs []feedback.FoldRecord
+	err := feedback.ParseSegment(data, func(payload []byte) error {
+		r, err := feedback.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// applySegment folds one segment's records as the node its spool key
+// names (the hashed node component before the sequence suffix).
+func applySegment(f *feedback.Fold, spoolKey string, recs []feedback.FoldRecord) {
 	node := spoolKey
 	if i := strings.IndexByte(spoolKey, '-'); i > 0 {
 		node = spoolKey[:i]
 	}
-	return func(payload []byte) error { return f.Apply(node, payload) }
+	for _, r := range recs {
+		f.ApplyRecord(node, r)
+	}
 }
 
 // rebuildLocked refolds every spooled segment in total order. Callers
@@ -168,13 +212,12 @@ func (s *Spool) rebuildLocked() {
 	sort.Strings(keys)
 	f := feedback.NewFold(s.drift)
 	for _, k := range keys {
-		// Segments were strictly validated at admission; a parse error
-		// here would mean in-memory corruption, which Stats surfaces as
-		// missing records rather than a poisoned coordinator.
-		//lint:allow droppederr -- segments were CRC+parse validated at admission; a failure here is in-memory corruption, surfaced as missing records rather than a poisoned coordinator
-		_ = feedback.ParseSegment(s.segs[k], applyAs(f, k))
+		applySegment(f, k, s.segs[k].recs)
 	}
-	s.fold, s.foldKeys = f, keys
+	s.fold = f
+	if n := len(keys); n > 0 {
+		s.lastKey = keys[n-1]
+	}
 }
 
 // Stats snapshots the cluster-wide fold (limit semantics as

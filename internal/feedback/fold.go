@@ -49,44 +49,89 @@ func NewFold(cfg DriftConfig) *Fold {
 	return &Fold{agg: newAggregates(), det: newDetector(cfg), perNode: make(map[string]string)}
 }
 
-// Apply folds one WAL record payload shipped by node (any stable node
-// identity; the spool uses the hashed node component of its key).
-// Unknown record kinds are an error: a shipped segment comes from a
-// peer running this codebase, so an unknown kind means corruption or
-// version skew, not forward compatibility to be silently skipped.
-func (f *Fold) Apply(node string, payload []byte) error {
+// FoldRecord is one WAL record payload decoded and reduced to the
+// fields a Fold reads. The cluster spool decodes each shipped segment
+// into these once, at admission, so a refold in a new total order
+// re-applies decoded records instead of re-parsing JSON.
+type FoldRecord struct {
+	model  bool // a model registration chunk; otherwise an outcome
+	last   bool // registration: the final chunk, which commits key
+	bought bool // outcome
+
+	modelVersion int // outcome: the version that served it
+	version      int // registration version
+
+	ruleID string // outcome
+	key    string // registration content key (final chunk only)
+
+	qty, realized, projected float64 // outcome
+}
+
+// DecodeRecord decodes one WAL record payload with the strictness of
+// Apply: the whole record, a registration's rule projections included,
+// must decode, and an unknown record kind is an error. A shipped
+// segment comes from a peer running this codebase, so an unknown kind
+// means corruption or version skew, not forward compatibility to be
+// silently skipped.
+func DecodeRecord(payload []byte) (FoldRecord, error) {
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("feedback: undecodable record: %w", err)
+		return FoldRecord{}, fmt.Errorf("feedback: undecodable record: %w", err)
 	}
 	switch rec.Kind {
 	case "outcome":
-		f.outcomes++
-		f.agg.apply(rec.RuleID, rec.ModelVersion, rec.Bought, rec.Qty, rec.Realized, rec.Projected)
-		if f.modelKey == "" || f.perNode[node] == f.modelKey {
-			f.det.observe(rec.Projected - rec.Realized)
-		}
+		return FoldRecord{
+			bought:       rec.Bought,
+			modelVersion: rec.ModelVersion,
+			ruleID:       rec.RuleID,
+			qty:          rec.Qty,
+			realized:     rec.Realized,
+			projected:    rec.Projected,
+		}, nil
 	case "model":
-		// Projections are not folded: outcome records are self-contained
+		// Projections are not kept: outcome records are self-contained
 		// (projected and realized stamped at append), so the fold needs
 		// only the completed registration's key and version for
 		// drift-episode bookkeeping.
-		if !rec.Last {
-			break
-		}
-		f.perNode[node] = rec.Key
-		newer := rec.Version > f.bestVer || (rec.Version == f.bestVer && rec.Key > f.modelKey)
-		if newer {
-			f.bestVer = rec.Version
-			if rec.Key != f.modelKey {
-				f.modelKey = rec.Key
-				f.det.reset()
-			}
-		}
-	default:
-		return fmt.Errorf("feedback: unknown record kind %q", rec.Kind)
+		return FoldRecord{model: true, last: rec.Last, version: rec.Version, key: rec.Key}, nil
 	}
+	return FoldRecord{}, fmt.Errorf("feedback: unknown record kind %q", rec.Kind)
+}
+
+// Apply folds one WAL record payload shipped by node: DecodeRecord,
+// then ApplyRecord.
+func (f *Fold) Apply(node string, payload []byte) error {
+	r, err := DecodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	f.ApplyRecord(node, r)
 	return nil
+}
+
+// ApplyRecord folds one decoded record shipped by node (any stable node
+// identity; the spool uses the hashed node component of its key).
+func (f *Fold) ApplyRecord(node string, r FoldRecord) {
+	if !r.model {
+		f.outcomes++
+		f.agg.apply(r.ruleID, r.modelVersion, r.bought, r.qty, r.realized, r.projected)
+		if f.modelKey == "" || f.perNode[node] == f.modelKey {
+			f.det.observe(r.projected - r.realized)
+		}
+		return
+	}
+	if !r.last {
+		return
+	}
+	f.perNode[node] = r.key
+	newer := r.version > f.bestVer || (r.version == f.bestVer && r.key > f.modelKey)
+	if newer {
+		f.bestVer = r.version
+		if r.key != f.modelKey {
+			f.modelKey = r.key
+			f.det.reset()
+		}
+	}
 }
 
 // Stats snapshots the fold with the same deterministic ordering and

@@ -123,6 +123,34 @@ func TestFoldSameKeyRegistrationNoReset(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordIsStrict: a record the fold reads only part of must
+// still decode whole — a registration's projections included — and an
+// unknown kind is refused, so a spool that decodes at admission refuses
+// exactly what Apply refuses.
+func TestDecodeRecordIsStrict(t *testing.T) {
+	for _, payload := range []string{
+		`{"kind":"bogus"}`,
+		`{"kind":"outcome","qty":"one"}`,
+		`{"kind":"model","rules":[{"id":"ra","profRe":"high"}],"key":"k","last":true}`,
+		`{"kind":"model","rules":[{"id":"ra"}`,
+	} {
+		if _, err := DecodeRecord([]byte(payload)); err == nil {
+			t.Errorf("DecodeRecord accepted %s", payload)
+		}
+		if err := NewFold(DriftConfig{}).Apply("n1", []byte(payload)); err == nil {
+			t.Errorf("Apply accepted %s", payload)
+		}
+	}
+	for _, payload := range []string{
+		`{"kind":"outcome","ruleID":"ra","bought":true,"qty":1,"projected":2,"realized":1}`,
+		`{"kind":"model","version":2,"rules":[{"id":"ra","profRe":1.5}],"key":"k","last":true}`,
+	} {
+		if _, err := DecodeRecord([]byte(payload)); err != nil {
+			t.Errorf("DecodeRecord refused %s: %v", payload, err)
+		}
+	}
+}
+
 // TestRotateSealsLiveSegment pins the shipper's building block: Rotate
 // seals a non-empty live segment (making it immutable and listable),
 // no-ops on an empty one, and ParseSegment strictly validates the
