@@ -53,13 +53,15 @@
 //	    -feedback-dir /var/lib/profitserve/feedback -addr :8080
 //
 // The coordinator is the thin fleet front: it health-checks replicas,
-// routes /recommend and /recommend/batch with hedged failover and
-// /outcome with plain failover (an outcome is never sent twice),
-// merges /metrics and /version, aggregates the shipped
-// segments into the deterministic cluster-wide /feedback/stats, and
-// runs the single cluster-level drift detector — with -data and
-// -window a cluster drift alarm triggers one in-process delta refresh
-// whose result fans back out to every replica:
+// rotates requests over them (every replica serves the same image, so
+// any one gives the same answer), routes /recommend and
+// /recommend/batch with hedged failover and /outcome with plain
+// failover (an outcome is never sent twice), merges /metrics and
+// /version, aggregates the shipped segments into the deterministic
+// cluster-wide /feedback/stats, and runs the single cluster-level
+// drift detector — with -data and -window a cluster drift alarm
+// triggers one in-process delta refresh whose result fans back out to
+// every replica:
 //
 //	profitserve -role coordinator -addr :9090 \
 //	    -replicas http://r1:8080,http://r2:8080,http://r3:8080 \
@@ -155,36 +157,15 @@ func main() {
 	}
 
 	// refresher is stored below once the windowed maintenance is wired
-	// (it needs the registry, which needs the collector): the OnDrift
-	// hook fires from the collector's goroutine, so the late binding
-	// goes through an atomic.
+	// (it needs the registry, which needs the collector).
 	var refresher atomic.Pointer[incremental.Refresher]
-	fbCfg := feedback.Config{
-		Dir:   *fbDir,
-		WAL:   feedback.WALOptions{MaxSegmentBytes: *fbSeg, SyncEvery: *fbSync},
-		Drift: drift,
-		Logf:  log.Printf,
-	}
-	if *onDrift != "" || *window > 0 {
-		hook := *onDrift
-		//lint:allow atomiczone -- not a request-scoped registry snapshot: the refresher pointer is a process-lifetime late binding, re-loaded on every drift episode
-		fbCfg.OnDrift = func() {
-			if r := refresher.Load(); r != nil {
-				r.OnDrift()
-			}
-			if hook == "" {
-				return
-			}
-			log.Printf("drift detected; running: %s", hook)
-			out, err := exec.Command("sh", "-c", hook).CombinedOutput()
-			if err != nil {
-				log.Printf("on-drift command failed: %v\n%s", err, out)
-				return
-			}
-			log.Printf("on-drift command finished\n%s", out)
-		}
-	}
-	fb, replayed, err := feedback.Open(fbCfg)
+	fb, replayed, err := feedback.Open(feedback.Config{
+		Dir:     *fbDir,
+		WAL:     feedback.WALOptions{MaxSegmentBytes: *fbSeg, SyncEvery: *fbSync},
+		Drift:   drift,
+		OnDrift: driftHook("drift", *onDrift, *window > 0, &refresher),
+		Logf:    log.Printf,
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -262,6 +243,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	//lint:allow atomiczone -- the load before this one is driftHook's refresher pointer, a process-lifetime late binding, not a registry snapshot; this is main's only snapshot load, for one startup log line
 	if active := reg.Active(); active != nil {
 		log.Printf("serving version %d: %d rules over %d items on %s",
 			active.Version, active.Rec.Stats().RulesFinal, active.Cat.NumItems(), *addr)
@@ -331,46 +313,13 @@ func main() {
 		close(adminDone)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           serve.NewRegistry(reg, reload, fb).Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
+	serveUntilSignal(*addr, serve.NewRegistry(reg, reload, fb).Handler(), *drain)
+	stopReplica()
+	if admin != nil {
+		admin.Close()
 	}
-
-	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops the
-	// listener and waits for in-flight requests up to the -drain budget.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errc:
-		fail(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down: draining in-flight requests (up to %v)", *drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-			srv.Close()
-			os.Exit(1)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
-		}
-		stopReplica()
-		if admin != nil {
-			admin.Close()
-		}
-		<-adminDone
-		log.Printf("drained; bye")
-	}
+	<-adminDone
+	log.Printf("drained; bye")
 }
 
 // coordinatorFlags carries the flag subset the coordinator role uses.
@@ -402,36 +351,15 @@ func runCoordinator(f coordinatorFlags) {
 		log.Printf("coordinator starting with an empty fleet; it aggregates segments but cannot route until -replicas are set")
 	}
 
-	// Late-bound refresher, as in the single-node path: the cluster
-	// OnDrift hook fires from the coordinator's goroutine before the
-	// refresher exists.
+	// Late-bound refresher, as in the single-node path.
 	var refresher atomic.Pointer[incremental.Refresher]
-	cfg := cluster.CoordinatorConfig{
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Replicas: fleet,
 		SpoolDir: f.spoolDir,
 		Drift:    f.drift,
+		OnDrift:  driftHook("cluster drift", f.onDrift, f.window > 0, &refresher),
 		Logf:     log.Printf,
-	}
-	if f.onDrift != "" || f.window > 0 {
-		hook := f.onDrift
-		//lint:allow atomiczone -- process-lifetime late binding of the refresher, not a request-scoped snapshot
-		cfg.OnDrift = func() {
-			if r := refresher.Load(); r != nil {
-				r.OnDrift()
-			}
-			if hook == "" {
-				return
-			}
-			log.Printf("cluster drift detected; running: %s", hook)
-			out, err := exec.Command("sh", "-c", hook).CombinedOutput()
-			if err != nil {
-				log.Printf("on-drift command failed: %v\n%s", err, out)
-				return
-			}
-			log.Printf("on-drift command finished\n%s", out)
-		}
-	}
-	coord, err := cluster.NewCoordinator(cfg)
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -492,39 +420,73 @@ func runCoordinator(f coordinatorFlags) {
 		log.Printf("no -model/-data: distributing nothing until one is provided; replicas keep their own models")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go coord.Run(ctx)
+	log.Printf("coordinator on %s fronting %d replicas (spool %q)", f.addr, len(fleet), f.spoolDir)
+	serveUntilSignal(f.addr, coord.Handler(), f.drain)
+	log.Printf("drained; bye")
+}
 
+// driftHook is the OnDrift hook of both roles: the windowed refresher
+// answers the alarm in process, then the -on-drift command runs via
+// sh -c. what names the alarm in the log. The hook fires from the
+// collector's or the coordinator's goroutine, possibly before the
+// refresher exists, so the refresher is bound late through an atomic.
+// The hook is nil when there is nothing to run.
+func driftHook(what, command string, windowed bool, refresher *atomic.Pointer[incremental.Refresher]) func() {
+	if command == "" && !windowed {
+		return nil
+	}
+	return func() {
+		if r := refresher.Load(); r != nil {
+			r.OnDrift()
+		}
+		if command == "" {
+			return
+		}
+		log.Printf("%s detected; running: %s", what, command)
+		out, err := exec.Command("sh", "-c", command).CombinedOutput()
+		if err != nil {
+			log.Printf("on-drift command failed: %v\n%s", err, out)
+			return
+		}
+		log.Printf("on-drift command finished\n%s", out)
+	}
+}
+
+// serveUntilSignal serves handler on addr until SIGINT or SIGTERM, then
+// drains: Shutdown stops the listener and waits for in-flight requests
+// up to drain. A serve error or an incomplete drain exits the process.
+func serveUntilSignal(addr string, handler http.Handler, drain time.Duration) {
 	srv := &http.Server{
-		Addr:              f.addr,
-		Handler:           coord.Handler(),
+		Addr:              addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-	log.Printf("coordinator on %s fronting %d replicas (spool %q)", f.addr, len(fleet), f.spoolDir)
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
 		fail(err)
 	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down: draining in-flight requests (up to %v)", f.drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), f.drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("drain incomplete: %v", err)
-			srv.Close()
-			os.Exit(1)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
-		}
-		log.Printf("drained; bye")
+	}
+	stop()
+	log.Printf("shutting down: draining in-flight requests (up to %v)", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("drain incomplete: %v", err)
+		srv.Close()
+		os.Exit(1)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fail(err)
 	}
 }
 

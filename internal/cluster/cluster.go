@@ -15,18 +15,19 @@
 //     identical bytes.
 //
 //   - Coordinator: a thin HTTP front that health-checks replicas,
-//     routes /recommend, /recommend/batch and /outcome (consistent-hash
-//     by basket key, fan-out with per-basket error isolation, failover
-//     on replica failure, and a hedged second attempt on a slow replica
-//     for the idempotent recommend routes only — an outcome is recorded
-//     wherever it lands, so it is never sent twice), merges /metrics
-//     and /version across the fleet, and runs the single cluster-wide
-//     Page-Hinkley drift detector over the aggregated outcome stream —
-//     replaying shipped segments in a deterministic total order (node,
-//     segment sequence, then record index) so a drift alarm fires
-//     exactly once per model episode and triggers exactly one delta
-//     refresh, whose promoted model then fans back out to every replica
-//     through the model-sync channel.
+//     routes /recommend, /recommend/batch and /outcome (rotation over
+//     the usable replicas, which all serve the same image and so give
+//     the same answer; fan-out with per-basket error isolation;
+//     failover on replica failure; and a hedged second attempt on a
+//     slow replica for the idempotent recommend routes only — an
+//     outcome is recorded wherever it lands, so it is never sent
+//     twice), merges /metrics and /version across the fleet, and runs
+//     the single cluster-wide Page-Hinkley drift detector over the
+//     aggregated outcome stream — replaying shipped segments in a
+//     deterministic total order (node, segment sequence, then record
+//     index) so a drift alarm fires exactly once per model episode and
+//     triggers exactly one delta refresh, whose promoted model then
+//     fans back out to every replica through the model-sync channel.
 package cluster
 
 import (

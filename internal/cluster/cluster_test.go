@@ -166,38 +166,66 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]any) {
 	return resp, out
 }
 
-// TestRingSuccessorsStability pins the consistent-hash property that
-// justifies the ring: removing one replica only remaps keys whose
-// primary was the removed replica.
-func TestRingSuccessorsStability(t *testing.T) {
-	names := []string{"a", "b", "c"}
-	r3 := newRing(names)
-	r2 := newRing(names[:2])
-	remapped := 0
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("basket-%d", i)
-		succ := r3.successors(key)
-		if len(succ) != 3 {
-			t.Fatalf("successors(%q) = %v, want 3 distinct replicas", key, succ)
+// TestRotation pins how the coordinator picks a replica. 3k sequential
+// /recommend posts of one basket through a three-replica fleet must
+// reach each replica exactly k times: the choice depends on request
+// order alone, not on the basket or the replicas' addresses. Then one
+// replica sheds load, answering /recommend 503 with Retry-After: the
+// 503 puts it in backoff, and for the next 3k posts it must receive
+// nothing more while the other two answer every one.
+func TestRotation(t *testing.T) {
+	coord, cts, stacks := newFleet(t, 3, CoordinatorConfig{})
+	var shedding atomic.Bool
+	var shed atomic.Int64
+	h := stacks[2].ts.Config.Handler
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/recommend" && shedding.Load() {
+			shed.Add(1)
+			w.Header().Set("Retry-After", "60")
+			failJSON(w, http.StatusServiceUnavailable, "shedding load")
+			return
 		}
-		seen := map[int]bool{}
-		for _, s := range succ {
-			if seen[s] {
-				t.Fatalf("successors(%q) repeated replica %d", key, s)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	coord.SetReplicas([]string{stacks[0].ts.URL, stacks[1].ts.URL, front.URL})
+	coord.CheckHealth(context.Background())
+
+	const k = 20
+	post := func() {
+		t.Helper()
+		for i := 0; i < 3*k; i++ {
+			resp, out := postJSON(t, cts.URL+"/recommend", `{"basket":[{"item":"Beer","promoIx":0,"qty":1}]}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/recommend %d: %d %v", i, resp.StatusCode, out)
 			}
-			seen[s] = true
-		}
-		old := succ[0]
-		now := r2.successors(key)[0]
-		if old != 2 && now != old {
-			t.Fatalf("key %q moved from healthy replica %d to %d when c was removed", key, old, now)
-		}
-		if old == 2 {
-			remapped++
 		}
 	}
-	if remapped == 0 || remapped > 600 {
-		t.Fatalf("removing 1 of 3 replicas remapped %d/1000 keys; want roughly a third", remapped)
+	served := func() (n [3]int) {
+		t.Helper()
+		for i, st := range stacks {
+			_, m := getJSON(t, st.ts.URL+"/metrics")
+			n[i] = int(m["requests"].(map[string]any)["/recommend"].(float64))
+		}
+		return n
+	}
+
+	post()
+	if got := served(); got != [3]int{k, k, k} {
+		t.Fatalf("%d posts of one basket reached the replicas %v times, want %d each", 3*k, got, k)
+	}
+
+	shedding.Store(true)
+	post()
+	got := served()
+	if n := shed.Load(); n != 1 {
+		t.Errorf("the shedding replica received %d posts, want the one whose 503 backed it off", n)
+	}
+	if got[2] != k {
+		t.Errorf("the shedding replica's handler served %d posts, want the %d from before", got[2], k)
+	}
+	if got[0]+got[1] != 5*k {
+		t.Errorf("the other replicas served %d and %d posts, want %d in all", got[0], got[1], 5*k)
 	}
 }
 
@@ -352,7 +380,7 @@ func TestBatchFailoverZeroDrops(t *testing.T) {
 		ruleID = res["recommendations"].([]any)[0].(map[string]any)["ruleID"].(string)
 	}
 
-	// Outcomes keep flowing: whichever replica the ring picks first,
+	// Outcomes keep flowing: whichever replica the rotation leads with,
 	// every report must be acked by a live one.
 	const outcomes = 40
 	for i := 0; i < outcomes; i++ {

@@ -105,10 +105,13 @@ type Coordinator struct {
 	logf   func(string, ...any)
 	spool  *Spool
 
-	mu       sync.Mutex // guards replicas/ring swaps and drift episodes
+	mu       sync.Mutex // guards replicas swaps and drift episodes
 	replicas []*replicaState
-	ring     *ring
 	lastKey  string // model key of the last drift episode already fired
+
+	// Each single-object route rotates its own attempt order, so a
+	// client alternating /recommend and /outcome spreads both.
+	recommendTurn, outcomeTurn atomic.Uint64
 
 	model atomic.Pointer[modelBlob]
 
@@ -168,11 +171,6 @@ func (c *Coordinator) SetReplicas(names []string) {
 		states = append(states, rs)
 	}
 	c.replicas = states
-	nameList := make([]string, len(states))
-	for i, rs := range states {
-		nameList[i] = rs.name
-	}
-	c.ring = newRing(nameList)
 }
 
 // SetModel publishes a new sealed model image for replica pull and
@@ -273,51 +271,35 @@ func (c *Coordinator) CheckHealth(ctx context.Context) {
 	wg.Wait()
 }
 
-// order returns the attempt order for a routing key: the consistent-
-// hash successors of key, usable replicas first (preserving ring order
-// within each class). With no usable replica everything is attempted
-// optimistically — a stale health verdict must not turn into a refused
-// request when a replica would in fact have answered.
-func (c *Coordinator) order(key string) []*replicaState {
-	c.mu.Lock()
-	replicas, ring := c.replicas, c.ring
-	c.mu.Unlock()
-	if len(replicas) == 0 {
-		return nil
-	}
-	succ := ring.successors(key)
-	now := time.Now()
-	out := make([]*replicaState, 0, len(succ))
-	for _, i := range succ {
-		if replicas[i].usable(now) {
-			out = append(out, replicas[i])
-		}
-	}
-	for _, i := range succ {
-		if !replicas[i].usable(now) {
-			out = append(out, replicas[i])
-		}
-	}
-	return out
-}
-
-// usableReplicas returns the currently routable fleet subset (all
-// replicas when none is marked usable).
-func (c *Coordinator) usableReplicas() []*replicaState {
+// order returns the attempt order of one request: the usable replicas
+// rotated by start, then the unusable ones in fleet order. Every
+// replica holds the same sealed image and answers the same basket
+// alike, so the rotation only spreads load. With no usable replica
+// every replica counts as usable — a stale health verdict must not turn
+// into a refused request when a replica would in fact have answered.
+// usable is how many lead the order.
+func (c *Coordinator) order(start uint64) (order []*replicaState, usable int) {
 	c.mu.Lock()
 	replicas := c.replicas
 	c.mu.Unlock()
 	now := time.Now()
-	out := make([]*replicaState, 0, len(replicas))
+	up := make([]*replicaState, 0, len(replicas))
+	var down []*replicaState
 	for _, rs := range replicas {
 		if rs.usable(now) {
-			out = append(out, rs)
+			up = append(up, rs)
+		} else {
+			down = append(down, rs)
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, replicas...)
+	if len(up) == 0 {
+		up, down = down, nil
 	}
-	return out
+	order = make([]*replicaState, 0, len(replicas))
+	for i := range up {
+		order = append(order, up[(start+uint64(i))%uint64(len(up))])
+	}
+	return append(order, down...), len(up)
 }
 
 // proxyResult is one replica's answer to a forwarded request.
@@ -449,9 +431,9 @@ func (c *Coordinator) attempt(ctx context.Context, rs *replicaState, method, pat
 // Handler returns the coordinator's HTTP routes:
 //
 //	GET  /healthz          — fleet health, spool size, cluster drift flag
-//	POST /recommend        — route one basket (consistent hash, hedged)
+//	POST /recommend        — forward one basket (rotation, hedged)
 //	POST /recommend/batch  — fan out a batch with per-basket isolation
-//	POST /outcome          — route an outcome report by rule ID (never hedged)
+//	POST /outcome          — forward an outcome report (rotation, never hedged)
 //	GET  /feedback/stats   — deterministic cluster-wide accounting
 //	GET  /metrics          — merged fleet + coordinator counters
 //	GET  /version          — merged model/build view, skew detection
@@ -525,35 +507,17 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	return data, true
 }
 
-// basketKey computes the canonical routing key of one basket: its item
-// names, sorted — identical baskets route identically no matter how
-// the client ordered the lines.
-func basketKey(rawBasket []byte) string {
-	var probe struct {
-		Basket []struct {
-			Item string `json:"item"`
-		} `json:"basket"`
-	}
-	if err := json.Unmarshal(rawBasket, &probe); err != nil || len(probe.Basket) == 0 {
-		return ""
-	}
-	items := make([]string, len(probe.Basket))
-	for i, s := range probe.Basket {
-		items[i] = s.Item
-	}
-	sort.Strings(items)
-	return strings.Join(items, "\x1f")
-}
-
-// proxyPost routes one single-object POST (recommend, outcome) by key
-// with failover, hedged when the request is idempotent, relaying the
-// replica's status, body, and model-version header.
-func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path string, limit int64, key func([]byte) string, hedge bool) {
+// proxyPost forwards one single-object POST (recommend, outcome) along
+// the attempt order that starts at turn's next value, with failover,
+// hedged when the request is idempotent, and relays the replica's
+// status, body and model-version header. The body is forwarded as it
+// arrived: the replica decodes it and reports a malformed one itself.
+func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path string, limit int64, turn *atomic.Uint64, hedge bool) {
 	body, ok := readBody(w, r, limit)
 	if !ok {
 		return
 	}
-	order := c.order(key(body))
+	order, _ := c.order(turn.Add(1) - 1)
 	header := http.Header{"Content-Type": r.Header["Content-Type"]}
 	res, err := c.forward(r.Context(), http.MethodPost, path, header, body, order, hedge)
 	if err != nil {
@@ -574,25 +538,19 @@ func (c *Coordinator) proxyPost(w http.ResponseWriter, r *http.Request, path str
 }
 
 func (c *Coordinator) recommend(w http.ResponseWriter, r *http.Request) {
-	c.proxyPost(w, r, "/recommend", maxRecommendBody, basketKey, true)
+	c.proxyPost(w, r, "/recommend", maxRecommendBody, &c.recommendTurn, true)
 }
 
 func (c *Coordinator) outcome(w http.ResponseWriter, r *http.Request) {
 	c.outcomes.Add(1)
-	c.proxyPost(w, r, "/outcome", maxOutcomeBody, func(body []byte) string {
-		var probe struct {
-			RuleID string `json:"ruleID"`
-		}
-		//lint:allow droppederr -- routing key extraction only: a malformed body routes by the empty key and the replica reports the real 400 to the caller
-		_ = json.Unmarshal(body, &probe)
-		return probe.RuleID
-	}, false)
+	c.proxyPost(w, r, "/outcome", maxOutcomeBody, &c.outcomeTurn, false)
 }
 
-// batchGroup is one replica-bound slice of a fanned-out batch.
+// batchGroup is one replica-bound slice of a fanned-out batch: the
+// baskets [lo, hi) of the request and their attempt order.
 type batchGroup struct {
-	order   []*replicaState // attempt order for this group
-	indexes []int           // original basket positions
+	order  []*replicaState
+	lo, hi int
 }
 
 // recommendBatch fans a batch out over the fleet and merges the
@@ -619,28 +577,24 @@ func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	groups := c.groupBaskets(req.Baskets)
+	groups := c.groupBaskets(len(req.Baskets))
 	results := make([]json.RawMessage, len(req.Baskets))
 	versions := make([]int, len(groups))
 	var wg sync.WaitGroup
-	for gi := range groups {
+	for gi, g := range groups {
 		wg.Add(1)
-		go func(gi int) {
+		go func(gi int, g batchGroup) {
 			defer wg.Done()
-			g := &groups[gi]
-			sub := make([]json.RawMessage, len(g.indexes))
-			for i, ix := range g.indexes {
-				sub[i] = req.Baskets[ix]
-			}
-			subBody, err := json.Marshal(map[string]any{"baskets": sub})
+			out := results[g.lo:g.hi]
+			subBody, err := json.Marshal(map[string]any{"baskets": req.Baskets[g.lo:g.hi]})
 			if err != nil {
-				fillErrors(results, g.indexes, "encoding sub-batch: "+err.Error())
+				fillErrors(out, "encoding sub-batch: "+err.Error())
 				return
 			}
 			header := http.Header{"Content-Type": []string{"application/json"}}
 			res, err := c.forward(r.Context(), http.MethodPost, "/recommend/batch", header, subBody, g.order, true)
 			if err != nil {
-				fillErrors(results, g.indexes, "no replica answered: "+err.Error())
+				fillErrors(out, "no replica answered: "+err.Error())
 				return
 			}
 			var subResp struct {
@@ -653,18 +607,16 @@ func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 				if msg == "" {
 					msg = fmt.Sprintf("replica answered %d", res.status)
 				}
-				fillErrors(results, g.indexes, msg)
+				fillErrors(out, msg)
 				return
 			}
-			if len(subResp.Results) != len(g.indexes) {
-				fillErrors(results, g.indexes, "replica returned a mis-sized batch")
+			if len(subResp.Results) != len(out) {
+				fillErrors(out, "replica returned a mis-sized batch")
 				return
 			}
 			versions[gi] = subResp.ModelVersion
-			for i, ix := range g.indexes {
-				results[ix] = subResp.Results[i]
-			}
-		}(gi)
+			copy(out, subResp.Results)
+		}(gi, g)
 	}
 	wg.Wait()
 	c.proxied.Add(1)
@@ -707,45 +659,28 @@ func (c *Coordinator) recommendBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// groupBaskets partitions basket indexes into contiguous chunks across
-// the usable fleet, failover order rotating so each group prefers a
-// different backup.
-func (c *Coordinator) groupBaskets(baskets []json.RawMessage) []batchGroup {
-	usable := c.usableReplicas()
-	if len(usable) == 0 {
-		return nil
+// groupBaskets splits n baskets into contiguous chunks, one per usable
+// replica and at most one per basket. Group g takes the attempt order
+// that starts at g, so each group leads with a different replica and
+// fails over to a different backup.
+func (c *Coordinator) groupBaskets(n int) []batchGroup {
+	_, usable := c.order(0)
+	groups := make([]batchGroup, min(usable, n))
+	for g := range groups {
+		order, _ := c.order(uint64(g))
+		groups[g] = batchGroup{order: order, lo: g * n / len(groups), hi: (g + 1) * n / len(groups)}
 	}
-	n := len(usable)
-	if n > len(baskets) {
-		n = len(baskets)
-	}
-	out := make([]batchGroup, 0, n)
-	for g := 0; g < n; g++ {
-		lo, hi := g*len(baskets)/n, (g+1)*len(baskets)/n
-		if lo == hi {
-			continue
-		}
-		order := make([]*replicaState, 0, len(usable))
-		for i := 0; i < len(usable); i++ {
-			order = append(order, usable[(g+i)%len(usable)])
-		}
-		grp := batchGroup{order: order}
-		for ix := lo; ix < hi; ix++ {
-			grp.indexes = append(grp.indexes, ix)
-		}
-		out = append(out, grp)
-	}
-	return out
+	return groups
 }
 
 // fillErrors degrades a group's baskets to per-basket errors.
-func fillErrors(results []json.RawMessage, indexes []int, msg string) {
+func fillErrors(results []json.RawMessage, msg string) {
 	blob, err := json.Marshal(map[string]string{"error": msg})
 	if err != nil {
 		blob = []byte(`{"error":"replica unavailable"}`)
 	}
-	for _, ix := range indexes {
-		results[ix] = blob
+	for i := range results {
+		results[i] = blob
 	}
 }
 

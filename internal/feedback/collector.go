@@ -150,36 +150,41 @@ func Open(cfg Config) (*Collector, ReplayStats, error) {
 	return c, rs, nil
 }
 
-// apply folds one WAL payload into in-memory state. It serves both
-// replay (live=false) and the post-append step of Record/RegisterModel,
-// so the two paths cannot diverge.
+// apply decodes one WAL payload and folds it in: the replay path.
 func (c *Collector) apply(payload []byte) error {
 	var rec record
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("feedback: undecodable record: %w", err)
 	}
-	switch rec.Kind {
-	case "outcome":
+	if rec.Kind != "outcome" && rec.Kind != "model" {
+		return fmt.Errorf("feedback: unknown record kind %q", rec.Kind)
+	}
+	c.applyRecord(rec)
+	return nil
+}
+
+// applyRecord folds one journaled record into in-memory state. Replay
+// (live=false) runs it after decoding, and Record and RegisterModel
+// after each append, so the two paths cannot diverge.
+func (c *Collector) applyRecord(rec record) {
+	if rec.Kind == "outcome" {
 		if rec.Seq > c.seq {
 			c.seq = rec.Seq
 		}
 		c.agg.apply(rec.RuleID, rec.ModelVersion, rec.Bought, rec.Qty, rec.Realized, rec.Projected)
 		c.observe(rec.Projected - rec.Realized)
-	case "model":
-		for _, p := range rec.Rules {
-			c.projections[p.ID] = p
-		}
-		// Only a completed registration (final chunk present) commits the
-		// model key and resets the detector; a torn one leaves both
-		// untouched so the next registration re-journals it in full.
-		if rec.Last {
-			c.modelKey = rec.Key
-			c.det.reset()
-		}
-	default:
-		return fmt.Errorf("feedback: unknown record kind %q", rec.Kind)
+		return
 	}
-	return nil
+	for _, p := range rec.Rules {
+		c.projections[p.ID] = p
+	}
+	// Only a completed registration (final chunk present) commits the
+	// model key and resets the detector; a torn one leaves both
+	// untouched so the next registration re-journals it in full.
+	if rec.Last {
+		c.modelKey = rec.Key
+		c.det.reset()
+	}
 }
 
 // observe feeds the detector and, live only, fires the drift hook on
@@ -240,9 +245,7 @@ func (c *Collector) Record(o Outcome) (Receipt, error) {
 	if err := c.append(rec); err != nil {
 		return Receipt{}, err
 	}
-	c.seq = rec.Seq
-	c.agg.apply(rec.RuleID, rec.ModelVersion, rec.Bought, rec.Qty, rec.Realized, rec.Projected)
-	c.observe(rec.Projected - rec.Realized)
+	c.applyRecord(rec)
 	return Receipt{Seq: c.seq, Drifting: c.det.drifting}, nil
 }
 
@@ -264,10 +267,13 @@ func (c *Collector) RegisterModel(version int, hash string, rules []RuleProjecti
 		//lint:allow walorder -- no-op by design: identical content is already journaled, so there is nothing new to make durable before acking
 		return nil
 	}
+	wasDrifting := c.det.drifting
 	// The loop body always runs at least once — an empty rule set still
 	// journals a single (empty, Last) model record — and the success
 	// return below is only reachable through it, so the promotion is in
-	// the WAL before RegisterModel acks.
+	// the WAL before RegisterModel acks. Each chunk is folded in as it
+	// is journaled, so a failed later chunk leaves the overlay replay
+	// would rebuild from the same log.
 	for start := 0; ; {
 		end := min(start+maxModelChunkRules, len(rules))
 		rec := record{Kind: "model", Version: version, Hash: hash, Rules: rules[start:end]}
@@ -277,17 +283,12 @@ func (c *Collector) RegisterModel(version int, hash string, rules []RuleProjecti
 		if err := c.append(rec); err != nil {
 			return err
 		}
+		c.applyRecord(rec)
 		if end == len(rules) {
 			break
 		}
 		start = end
 	}
-	for _, p := range rules {
-		c.projections[p.ID] = p
-	}
-	c.modelKey = key
-	wasDrifting := c.det.drifting
-	c.det.reset()
 	if c.cfg.Logf != nil && wasDrifting {
 		c.cfg.Logf("feedback: drift detector reset by promotion of model v%d", version)
 	}

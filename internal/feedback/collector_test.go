@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -186,6 +187,43 @@ func TestRegisterModelChunksLargeModels(t *testing.T) {
 	c3.Close()
 	if rs2.Records != rs.Records {
 		t.Errorf("idempotent re-registration appended records: %d -> %d", rs.Records, rs2.Records)
+	}
+}
+
+// TestTornRegistrationMatchesReplay: when a later chunk of a
+// registration fails to append, the live collector keeps what replay
+// rebuilds from the same log — the journaled chunk's projections
+// overlaid, the model key and the detector untouched — so an outcome
+// for a rule of that chunk joins in both, and their stats agree.
+func TestTornRegistrationMatchesReplay(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	c, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projs := make([]RuleProjection, maxModelChunkRules+1)
+	for i := range projs {
+		projs[i] = RuleProjection{ID: fmt.Sprintf("r%016x", i), ProfRe: 0.5, Conf: 0.5, Price: 5, Cost: 3}
+	}
+	// The last chunk's one rule is past the WAL's frame bound.
+	projs[maxModelChunkRules].ID = strings.Repeat("r", maxRecordBytes)
+	if err := c.RegisterModel(1, "torn", projs); err == nil {
+		t.Fatal("a registration whose last chunk cannot be journaled must fail")
+	}
+	if _, err := c.Record(Outcome{RuleID: projs[0].ID, ModelVersion: 1, Bought: true}); err != nil {
+		t.Fatalf("outcome for a journaled chunk's rule: %v", err)
+	}
+	want := c.Stats(0)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if got := c2.Stats(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay of a torn registration diverged from the live collector:\n got %+v\nwant %+v", got, want)
 	}
 }
 

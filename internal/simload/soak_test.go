@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -77,8 +76,7 @@ func BenchmarkSoak(b *testing.B) {
 		single := [2]soakRun{soakSingle(b, ds, truth), soakSingle(b, ds, truth)}
 		checkSoak(b, "single", single)
 
-		var addrs [soakReplicas]string
-		fleet := [2]soakRun{soakFleet(b, ds, truth, &addrs), soakFleet(b, ds, truth, &addrs)}
+		fleet := [2]soakRun{soakFleet(b, ds, truth), soakFleet(b, ds, truth)}
 		checkSoak(b, "fleet", fleet)
 		for i, run := range fleet {
 			if run.aggregated != run.res.Outcomes {
@@ -140,12 +138,11 @@ func soakSingle(b *testing.B, ds *model.Dataset, truth *datagen.GroundTruth) soa
 
 // soakFleet runs the soak once against a fresh fleet: three replicas
 // behind a coordinator, models distributed by coordinator pull, WALs
-// shipped at deterministic outcome counts. addrs pins the replica
-// addresses across runs: the coordinator routes by consistent hash over
-// replica URLs, so other ports would route traffic differently and
-// sink the determinism gate. The replicas' node IDs are stable for the
-// same reason: they order the spool's fold.
-func soakFleet(b *testing.B, ds *model.Dataset, truth *datagen.GroundTruth, addrs *[soakReplicas]string) soakRun {
+// shipped at deterministic outcome counts. Each run binds fresh ports:
+// the coordinator rotates over the replicas in request order, so the
+// determinism gate also proves the trace independent of the ports. The
+// replicas' node IDs are stable, because they order the spool's fold.
+func soakFleet(b *testing.B, ds *model.Dataset, truth *datagen.GroundTruth) soakRun {
 	ctx := context.Background()
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Drift: soakDrift})
 	if err != nil {
@@ -182,12 +179,9 @@ func soakFleet(b *testing.B, ds *model.Dataset, truth *datagen.GroundTruth, addr
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts := httptest.NewUnstartedServer(serve.NewRegistry(reg, nil, fb).Handler())
-		ts.Listener.Close()
-		ts.Listener = pinnedListener(b, addrs[i])
-		ts.Start()
+		ts := httptest.NewServer(serve.NewRegistry(reg, nil, fb).Handler())
 		defer ts.Close()
-		addrs[i], urls[i], regs[i] = ts.Listener.Addr().String(), ts.URL, reg
+		urls[i], regs[i] = ts.URL, reg
 		if reps[i], err = cluster.NewReplica(cluster.ReplicaConfig{
 			NodeID:      fmt.Sprintf("soak-replica-%d", i),
 			Coordinator: cts.URL,
@@ -242,26 +236,6 @@ func soakFleet(b *testing.B, ds *model.Dataset, truth *datagen.GroundTruth, addr
 	//lint:allow atomiczone -- one registry inspected once after the run; no cross-load invariant
 	promotions := regs[0].Active().Version - 1
 	return soakRun{res: res, stats: stats, promotions: promotions, p99Ms: p99, aggregated: coord.Spool().Outcomes()}
-}
-
-// pinnedListener binds addr ("" = any free loopback port), retrying
-// briefly: a second run reclaims the exact addresses the first just
-// released.
-func pinnedListener(tb testing.TB, addr string) net.Listener {
-	tb.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var err error
-	for i := 0; i < 100; i++ {
-		var ln net.Listener
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			return ln
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	tb.Fatalf("rebinding %s: %v", addr, err)
-	return nil
 }
 
 // TestSoakLiveServer drives the soak against an out-of-process server,
