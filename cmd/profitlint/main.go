@@ -4,15 +4,13 @@
 // never-dropped errors) become build failures instead of flaky
 // benchmarks. See internal/analyzers for the individual checks.
 //
-// Run standalone:
-//
-//	go run ./cmd/profitlint ./...
-//
-// or through the go command's vet driver, which adds build caching and
-// analysis of test files:
+// It runs as the go command's vet tool, which loads and caches packages
+// and analyses test files too; any finding fails the run:
 //
 //	go install ./cmd/profitlint
 //	go vet -vettool=$(go env GOPATH)/bin/profitlint ./...
+//
+// profitlint -list names the registered analyzers.
 package main
 
 import (

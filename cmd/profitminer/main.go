@@ -96,14 +96,11 @@ func main() {
 		fmt.Println(rec.Report())
 	}
 
-	rules := rec.Rules()
-	n := *show
-	if n > len(rules) {
-		n = len(rules)
-	}
+	// The final rules lead the image's rule table in MPF rank order.
+	n := min(*show, st.RulesFinal)
 	fmt.Printf("top %d rules (MPF rank order):\n", n)
 	for i := 0; i < n; i++ {
-		fmt.Printf("%4d. %s\n", i+1, rules[i].String(rec.Space()))
+		fmt.Printf("%4d. %s\n", i+1, rec.Sealed().Rules().String(int32(i)))
 	}
 
 	if *demo > 0 {

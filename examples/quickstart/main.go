@@ -73,7 +73,7 @@ func main() {
 		fmt.Printf("%s →\n", c.label)
 		fmt.Printf("  recommend %s at $%.2f/%g-pack (profit $%.2f per sale)\n",
 			cat.Item(r.Item).Name, promo.Price, promo.Packing, promo.Profit())
-		fmt.Printf("  because: %s\n\n", r.Rule.String(rec.Space()))
+		fmt.Printf("  because: %s\n\n", rec.Sealed().Rules().String(r.Idx))
 	}
 
 	// The egg lesson, quantified: recommending the 4-pack to all 200

@@ -39,8 +39,9 @@ func main() {
 		st.RulesGenerated, st.RulesNonDominated, st.RulesFinal)
 
 	fmt.Println("final rules (MPF rank order):")
-	for i, r := range rec.Rules() {
-		fmt.Printf("%3d. %s\n", i+1, r.String(rec.Space()))
+	rt := rec.Sealed().Rules()
+	for i := 0; i < st.RulesFinal; i++ {
+		fmt.Printf("%3d. %s\n", i+1, rt.String(int32(i)))
 	}
 	fmt.Println()
 
@@ -72,7 +73,7 @@ func main() {
 		if top := rec.RecommendTopK(c.b, 2); len(top) > 1 {
 			alt := top[1]
 			fmt.Printf("  next-best item: %s via %s\n",
-				g.Dataset.Catalog.Item(alt.Item).Name, alt.Rule.String(rec.Space()))
+				g.Dataset.Catalog.Item(alt.Item).Name, rt.String(alt.Idx))
 		}
 		fmt.Println()
 	}

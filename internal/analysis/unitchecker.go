@@ -55,32 +55,22 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point shared by vettool and standalone modes:
+// Main is profitlint's entry point. It speaks only the go vet driver
+// protocol, so the go command does the package loading, caching and
+// test-variant expansion:
 //
-//	profitlint [-list] [baseline flags] [package patterns...]   # standalone
-//	profitlint <file>.cfg                                       # invoked by go vet
+//	go vet -vettool=$(go env GOPATH)/bin/profitlint ./...
 //
-// The baseline flags apply to standalone mode only (go vet's protocol
-// advertises no forwardable flags):
-//
-//	-baseline file        suppress findings recorded in the baseline;
-//	                      exit nonzero only on NEW findings
-//	-write-baseline file  write the current findings as the baseline and
-//	                      exit 0
-//	-findings file        also dump findings as JSON (the CI artifact)
-//
-// It never returns.
+// Invoked by hand it answers -list (the registered analyzers) and the
+// protocol's -V=full and -flags queries. It never returns.
 func Main(analyzers ...*Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	versionFlag := fs.String("V", "", "print version and exit (go vet protocol)")
 	flagsFlag := fs.Bool("flags", false, "print flag description as JSON and exit (go vet protocol)")
 	listFlag := fs.Bool("list", false, "list registered analyzers and exit")
-	baselineFlag := fs.String("baseline", "", "baseline file: fail only on findings not recorded in it (standalone mode)")
-	writeBaselineFlag := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0 (standalone mode)")
-	findingsFlag := fs.String("findings", "", "also write findings as JSON to this file (standalone mode)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [packages...] | %s <file>.cfg\n\nregistered analyzers:\n", progname, progname)
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(go env GOPATH)/bin/%s [packages]\n       %s -list\n\nregistered analyzers:\n", progname, progname)
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstSentence(a.Doc))
 		}
@@ -108,14 +98,8 @@ func Main(analyzers ...*Analyzer) {
 		runUnitchecker(args[0], analyzers)
 		panic("unreachable")
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(runStandalone(args, analyzers, standaloneOptions{
-		baseline:      *baselineFlag,
-		writeBaseline: *writeBaselineFlag,
-		findingsOut:   *findingsFlag,
-	}))
+	fs.Usage()
+	os.Exit(2)
 }
 
 // printVersion emits the version line the go command hashes into its
@@ -153,84 +137,6 @@ func firstSentence(doc string) string {
 		return doc[:i]
 	}
 	return doc
-}
-
-// standaloneOptions carries the baseline workflow flags; all are
-// optional and empty strings disable them.
-type standaloneOptions struct {
-	baseline      string // diff findings against this file; fail only on new ones
-	writeBaseline string // record current findings here and exit clean
-	findingsOut   string // dump findings JSON here regardless of outcome
-}
-
-// runStandalone loads the patterns itself and analyses every matched
-// package. Exit status 1 means (new) findings, 2 means a loader or
-// baseline failure.
-func runStandalone(patterns []string, analyzers []*Analyzer, opts standaloneOptions) int {
-	dir, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var findings []Finding
-	for _, pkg := range pkgs {
-		diags, err := Run(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		for _, d := range diags {
-			findings = append(findings, relFinding(dir, pkg.Fset.Position(d.Pos), d.Analyzer, d.Message))
-		}
-	}
-
-	if opts.findingsOut != "" {
-		if err := WriteFindings(opts.findingsOut, findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if opts.writeBaseline != "" {
-		if err := NewBaseline(findings).Write(opts.writeBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "profitlint: wrote baseline with %d finding(s) to %s\n", len(findings), opts.writeBaseline)
-		return 0
-	}
-
-	report := findings
-	if opts.baseline != "" {
-		base, err := LoadBaseline(opts.baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fresh, stale := base.Diff(findings)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "profitlint: stale baseline entry (no longer found): %s %s: %s (x%d); regenerate with -write-baseline\n",
-				e.File, e.Analyzer, e.Message, e.Count)
-		}
-		report = fresh
-	}
-
-	for _, f := range report {
-		fmt.Fprintf(os.Stderr, "%s:%d: %s [%s]\n", f.File, f.Line, f.Message, f.Analyzer)
-	}
-	if len(report) > 0 {
-		if opts.baseline != "" {
-			fmt.Fprintf(os.Stderr, "profitlint: %d new finding(s) not in baseline %s\n", len(report), opts.baseline)
-		} else {
-			fmt.Fprintf(os.Stderr, "profitlint: %d finding(s)\n", len(report))
-		}
-		return 1
-	}
-	return 0
 }
 
 // runUnitchecker analyses the single package described by cfgFile and

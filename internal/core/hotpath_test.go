@@ -4,12 +4,14 @@ package core
 // recommend path, benchmarks tracking its latency, and white-box
 // equivalence tests pinning the pooled walk over the sealed image to a
 // straightforward reference implementation the test builds itself from
-// the build output (pointer matchers over Rules and Alternates,
-// ExpandBasket, map-collected per-item winners).
+// the build output (pointer matchers over the covering tree's rules and
+// the mined rules' per-item alternates, ExpandBasket, map-collected
+// per-item winners).
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"profitmining/internal/hierarchy"
@@ -25,6 +27,7 @@ type benchWorld struct {
 	cat     *model.Catalog
 	space   *hierarchy.Space
 	txns    []model.Transaction
+	mined   *mining.Result
 	rec     *Recommender
 	baskets []model.Basket
 }
@@ -117,7 +120,7 @@ func newBenchWorld(tb testing.TB, n, nonTargets, targets int, seed int64) *bench
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.rec = rec
+	w.mined, w.rec = mined, rec
 
 	w.baskets = make([]model.Basket, 256)
 	for i := range w.baskets {
@@ -127,19 +130,31 @@ func newBenchWorld(tb testing.TB, n, nonTargets, targets int, seed int64) *bench
 }
 
 // reference is the behavioral golden the sealed fast path must match:
-// pointer matchers built from the recommender's build output, never
-// from its image.
+// pointer matchers built from the build output — the rules of the
+// recommender's covering tree, and the per-item non-dominated rules of
+// what mined fed it — never from its image.
 type reference struct {
 	space      *hierarchy.Space
 	matcher    *rules.Matcher
 	alternates *rules.Matcher
 }
 
-func newReference(r *Recommender) *reference {
+func newReference(r *Recommender, mined *mining.Result) *reference {
+	byItem := map[model.ItemID][]*rules.Rule{}
+	for _, rule := range mined.AllRules() {
+		item := r.Space().ItemOf(rule.Head)
+		byItem[item] = append(byItem[item], rule)
+	}
+	alternates := rules.NewMatcher(nil)
+	for _, group := range byItem {
+		for _, rule := range rules.RemoveDominated(r.Space(), group) {
+			alternates.Insert(rule)
+		}
+	}
 	return &reference{
 		space:      r.Space(),
-		matcher:    rules.NewMatcher(r.Rules()),
-		alternates: rules.NewMatcher(r.Alternates()),
+		matcher:    rules.NewMatcher(collectRules(r.Tree())),
+		alternates: alternates,
 	}
 }
 
@@ -179,16 +194,18 @@ func (ref *reference) topK(basket model.Basket, k int) []*rules.Rule {
 }
 
 // checkRecs requires got to be exactly the recommendations of want's
-// rules: same rule, item, promo and stable ID per slot.
-func (ref *reference) checkRecs(t *testing.T, what string, got []Recommendation, want []*rules.Rule) {
+// rules: same item, promo and stable ID per slot, fired from a rule-table
+// entry that holds the want rule field for field.
+func (ref *reference) checkRecs(t *testing.T, what string, rec *Recommender, got []Recommendation, want []*rules.Rule) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %d recs, want %d", what, len(got), len(want))
 	}
 	for j, rule := range want {
 		g := got[j]
-		if g.Rule != rule || g.Item != ref.space.ItemOf(rule.Head) || g.Promo != ref.space.PromoOf(rule.Head) ||
-			g.ID != rules.StableID(ref.space, rule) || g.Idx < 0 {
+		if g.Item != ref.space.ItemOf(rule.Head) || g.Promo != ref.space.PromoOf(rule.Head) ||
+			g.ID != rules.StableID(ref.space, rule) || g.Idx < 0 ||
+			!reflect.DeepEqual(ruleAt(rec.Sealed().Rules(), g.Idx), *rule) {
 			t.Fatalf("%s slot %d: got %+v, want rule %s", what, j, g, rule.String(ref.space))
 		}
 	}
@@ -198,12 +215,12 @@ func (ref *reference) checkRecs(t *testing.T, what string, got []Recommendation,
 // reference implementation over a few thousand random baskets.
 func TestRecommendMatchesReference(t *testing.T) {
 	w := newBenchWorld(t, 2000, 40, 8, 11)
-	ref := newReference(w.rec)
+	ref := newReference(w.rec, w.mined)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
 		basket := w.baskets[rng.Intn(len(w.baskets))]
 		got := w.rec.RecommendTopK(basket, 5)
-		ref.checkRecs(t, fmt.Sprintf("basket %d", i), got, ref.topK(basket, 5))
+		ref.checkRecs(t, fmt.Sprintf("basket %d", i), w.rec, got, ref.topK(basket, 5))
 		if got[0] != w.rec.Recommend(basket) {
 			t.Fatalf("basket %d: Recommend disagrees with RecommendTopK[0]", i)
 		}
@@ -224,7 +241,15 @@ func TestRecommendTopKSkipsFirstItemAlternates(t *testing.T) {
 		txns = append(txns, s.txn("Egg@1", "Bread"))
 		txns = append(txns, s.txn("Lipstick", "Bread", "Perfume"))
 	}
-	rec := buildShop(t, s, txns, Config{}, mining.Options{MinSupportCount: 2})
+	space := s.space(true)
+	mined, err := mining.Mine(space, txns, mining.Options{MinSupportCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Build(space, txns, mined, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	basket := model.Basket{{Item: s.item["Bread"], Promo: s.pr["Bread"], Qty: 1}}
 	recs := rec.RecommendTopK(basket, 4)
@@ -243,16 +268,18 @@ func TestRecommendTopKSkipsFirstItemAlternates(t *testing.T) {
 		seen[r.Item] = true
 	}
 	// The reference path must agree exactly.
-	ref := newReference(rec)
-	ref.checkRecs(t, "Bread basket", recs, ref.topK(basket, 4))
+	ref := newReference(rec, mined)
+	ref.checkRecs(t, "Bread basket", rec, recs, ref.topK(basket, 4))
 }
 
 // TestExplainUsesIndex pins Explain's output — the lineage rendered into
 // the image at seal time — to a recursive reference search of the
 // covering tree, for every rule in the tree and for an alternate rule
-// outside it.
+// outside it. The reference picks each slot's rule itself, so nothing
+// it renders comes from the image.
 func TestExplainUsesIndex(t *testing.T) {
 	w := newBenchWorld(t, 2000, 40, 8, 7)
+	ref := newReference(w.rec, w.mined)
 	refFind := func(root *Node, rule *rules.Rule) *Node {
 		var find func(*Node) *Node
 		find = func(n *Node) *Node {
@@ -268,20 +295,22 @@ func TestExplainUsesIndex(t *testing.T) {
 		}
 		return find(root)
 	}
-	refExplain := func(rec Recommendation) []string {
-		node := refFind(w.rec.tree, rec.Rule)
+	refExplain := func(rule *rules.Rule) []string {
+		node := refFind(w.rec.tree, rule)
 		var out []string
 		out = append(out, fmt.Sprintf("recommend %s [rule %s]: fired %s",
-			w.rec.space.Name(w.rec.space.PromoNode(rec.Promo)), rules.StableID(w.rec.space, rec.Rule), rec.Rule.String(w.rec.space)))
+			w.space.Name(w.space.PromoNode(w.space.PromoOf(rule.Head))), rules.StableID(w.space, rule), rule.String(w.space)))
 		for n := node; n != nil && n.Parent != nil; n = n.Parent {
-			out = append(out, fmt.Sprintf("  fallback: %s", n.Parent.Rule.String(w.rec.space)))
+			out = append(out, fmt.Sprintf("  fallback: %s", n.Parent.Rule.String(w.space)))
 		}
 		return out
 	}
 	checked := 0
-	for _, basket := range w.baskets {
-		for _, rec := range w.rec.RecommendTopK(basket, 4) {
-			got, want := w.rec.Explain(rec), refExplain(rec)
+	for bi, basket := range w.baskets {
+		recs, rulesWant := w.rec.RecommendTopK(basket, 4), ref.topK(basket, 4)
+		ref.checkRecs(t, fmt.Sprintf("basket %d", bi), w.rec, recs, rulesWant)
+		for j, rec := range recs {
+			got, want := w.rec.Explain(rec), refExplain(rulesWant[j])
 			if len(got) != len(want) {
 				t.Fatalf("Explain(%v): got %d lines, want %d\n got: %q\nwant: %q", rec, len(got), len(want), got, want)
 			}
@@ -295,6 +324,36 @@ func TestExplainUsesIndex(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no recommendations checked")
+	}
+}
+
+// TestRuleListsMatchBuildOutput pins the rule lists read off the image
+// to the build output they were sealed from: Rules to the covering
+// tree's rules in rank order, and Alternates to the pointer trie's
+// order over the per-item alternates of the mined rules.
+func TestRuleListsMatchBuildOutput(t *testing.T) {
+	for _, seed := range []int64{3, 19} {
+		w := newBenchWorld(t, 2000, 40, 8, seed)
+		final := collectRules(w.rec.Tree())
+		rules.SortByRank(final)
+		var alt []*rules.Rule
+		rules.NewMatcher(computeAlternates(w.space, w.mined.AllRules())).MatchAllRules(func(r *rules.Rule) {
+			alt = append(alt, r)
+		})
+		for _, c := range []struct {
+			name string
+			got  []rules.Rule
+			want []*rules.Rule
+		}{{"Rules", w.rec.Rules(), final}, {"Alternates", w.rec.Alternates(), alt}} {
+			if len(c.got) != len(c.want) {
+				t.Fatalf("seed %d: %s has %d rules, build output %d", seed, c.name, len(c.got), len(c.want))
+			}
+			for i, r := range c.want {
+				if !reflect.DeepEqual(c.got[i], *r) {
+					t.Fatalf("seed %d: %s[%d] = %+v, build output %+v", seed, c.name, i, c.got[i], *r)
+				}
+			}
+		}
 	}
 }
 
@@ -358,7 +417,7 @@ func BenchmarkRecommendTopK(b *testing.B) {
 // every bench run shows the fast path's margin over it.
 func BenchmarkRecommendReference(b *testing.B) {
 	w := newBenchWorld(b, 4000, 60, 10, 3)
-	ref := newReference(w.rec)
+	ref := newReference(w.rec, w.mined)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -368,7 +427,7 @@ func BenchmarkRecommendReference(b *testing.B) {
 
 func BenchmarkRecommendTopKReference(b *testing.B) {
 	w := newBenchWorld(b, 4000, 60, 10, 3)
-	ref := newReference(w.rec)
+	ref := newReference(w.rec, w.mined)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -92,17 +92,17 @@ type BuildStats struct {
 //
 // Every recommender serves from its sealed arena image (modelio format
 // v3): Build seals the model where it assembles it, and FromSealed
-// wraps an image opened from disk. A built recommender additionally
-// keeps its build output — space, covering tree and rule lists — for
-// inspection and export (Tree, Rules, Alternates, Report, modelio.Save)
-// and to fill Recommendation.Rule; none of it is on the serving path.
+// wraps an image opened from disk. Every rule it reports (Rules,
+// Alternates, Explain) is read off the image, so a built model and its
+// sealed file opened from disk answer alike. A built recommender also
+// keeps the two pieces of build output the image does not hold — the
+// space, which names concepts, and the covering tree with its covers —
+// for Report's per-target sections and modelio.Save; neither is on the
+// serving path.
 type Recommender struct {
-	// Build output; all nil for an image opened from disk.
+	// Build output; both nil for an image opened from disk.
 	space *hierarchy.Space
-	final []*rules.Rule // final rules in MPF rank order
-	alt   []*rules.Rule // per-item alternates, in matcher trie order
 	tree  *Node
-	table []*rules.Rule // the rule behind each image rule-table index
 
 	// image is the sealed serving image; exp caches its expansion view
 	// so the hot path does not re-derive it per call.
@@ -139,23 +139,20 @@ func (r *Recommender) putScratch(sc *scratch) {
 
 // Recommendation is one recommended (target item, promotion code) pair
 // together with the rule that produced it, for explanation (Requirement 5
-// of Section 1.2). ID is the fired rule's stable content-hash identity
-// (rules.StableID): the join key an outcome report uses to find its way
-// back to this exact rule, even after the serving model has been
-// hot-swapped.
+// of Section 1.2; see Explain). ID is the fired rule's stable
+// content-hash identity (rules.StableID): the join key an outcome report
+// uses to find its way back to this exact rule, even after the serving
+// model has been hot-swapped.
 type Recommendation struct {
 	Item  model.ItemID
 	Promo model.PromoID
+	ID    string
 
-	// Rule is the fired rule of a built recommender; nil for an image
-	// opened from disk, which has no heap rules.
-	Rule *rules.Rule
-	ID   string
-
-	// Idx is the fired rule's index in the image's rule table; the
-	// serving layer writes that rule's pre-marshaled blob. It is -1 only
-	// when nothing matched, impossible for a valid model (the default
-	// rule matches every basket).
+	// Idx is the fired rule's index in the image's rule table: the
+	// serving layer writes that rule's pre-marshaled blob, and
+	// Sealed().Rules() holds its measures and rendered string. It is -1
+	// only when nothing matched, impossible for a valid model (the
+	// default rule matches every basket).
 	Idx int32
 }
 
@@ -244,16 +241,16 @@ func computeAlternates(space *hierarchy.Space, all []*rules.Rule) []*rules.Rule 
 }
 
 // assemble seals a built covering tree into the image the recommender
-// serves from, keeping the tree and rule lists as build output. final
-// must be collectRules(root) in rank order; alt is the per-item
-// alternate rule list in rank order. It is the exit of Build.
+// serves from, keeping the space and tree as build output. final must
+// be collectRules(root) in rank order; alt is the per-item alternate
+// rule list in rank order. It is the exit of Build.
 func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, generated, nonDominated int) (*Recommender, error) {
 	// NewMatcher always flattens, so both trie views exist.
 	mainView, _ := rules.NewMatcher(final).TrieView()
 	altm := rules.NewMatcher(alt)
 	altView, _ := altm.TrieView()
-	r := &Recommender{space: space, final: final, tree: root}
-	altm.MatchAllRules(func(rule *rules.Rule) { r.alt = append(r.alt, rule) })
+	var altOrder []*rules.Rule
+	altm.MatchAllRules(func(rule *rules.Rule) { altOrder = append(altOrder, rule) })
 
 	st := BuildStats{
 		RulesGenerated:    generated,
@@ -262,7 +259,7 @@ func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, gene
 		ProjectedProfit:   treeProjected(root),
 		TreeDepth:         depth(root),
 	}
-	data, table, err := seal(space, root, final, r.alt, mainView, altView, st)
+	data, err := seal(space, root, final, altOrder, mainView, altView, st)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +267,7 @@ func assemble(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, gene
 	if err != nil {
 		return nil, fmt.Errorf("core: sealed image fails to re-open: %w", err)
 	}
-	r.table = table
+	r := &Recommender{space: space, tree: root}
 	r.serveFrom(m)
 	return r, nil
 }
@@ -321,9 +318,44 @@ func (r *Recommender) Catalog() *model.Catalog {
 }
 
 // Alternates returns the per-item alternate rules backing RecommendTopK,
-// in matcher trie order, for export. The slice must not be
-// modified. Nil for an image opened from disk.
-func (r *Recommender) Alternates() []*rules.Rule { return r.alt }
+// read off the image's alternates trie in pre-order, defaults first:
+// the order modelio.Save exports them in. Rule bodies alias the image
+// and must not be modified.
+func (r *Recommender) Alternates() []rules.Rule {
+	t, rt := r.image.Alternates(), r.image.Rules()
+	out := make([]rules.Rule, 0, len(t.Defaults)+len(t.Rules))
+	for _, i := range t.Defaults {
+		out = append(out, ruleAt(rt, i))
+	}
+	var walk func(lo, hi int32)
+	walk = func(lo, hi int32) {
+		for n := lo; n < hi; n++ {
+			for _, i := range t.Rules[t.RuleLo[n]:t.RuleHi[n]] {
+				out = append(out, ruleAt(rt, i))
+			}
+			walk(t.ChildLo[n], t.ChildHi[n])
+		}
+	}
+	walk(0, t.RootHi)
+	return out
+}
+
+// ruleAt rebuilds rule-table entry i as the rules.Rule it was sealed
+// from; the body aliases the image, and an empty body is nil, as the
+// miner leaves the default rule's.
+func ruleAt(rt *arena.RuleTable, i int32) rules.Rule {
+	r := rules.Rule{
+		Head:      rt.Head[i],
+		BodyCount: int(rt.BodyCount[i]),
+		HitCount:  int(rt.Hits[i]),
+		Profit:    rt.Profit[i],
+		Order:     int(rt.Order[i]),
+	}
+	if body := rt.Body(i); len(body) > 0 {
+		r.Body = body[:len(body):len(body)]
+	}
+	return r
+}
 
 func depth(n *Node) int {
 	d := 0
@@ -429,21 +461,25 @@ func (r *Recommender) toRecommendation(i int32) Recommendation {
 		return Recommendation{Idx: -1}
 	}
 	rt := r.image.Rules()
-	rec := Recommendation{
+	return Recommendation{
 		Item:  model.ItemID(rt.HeadItem[i]),
 		Promo: model.PromoID(rt.HeadPromo[i]),
 		ID:    rt.ID(i),
 		Idx:   i,
 	}
-	if int(i) < len(r.table) {
-		rec.Rule = r.table[i]
-	}
-	return rec
 }
 
-// Rules returns the final rules in MPF rank order. The slice must not be
-// modified. Nil for an image opened from disk.
-func (r *Recommender) Rules() []*rules.Rule { return r.final }
+// Rules returns the final rules in MPF rank order, read off the image:
+// the first Meta().NumFinal entries of its rule table. Rule bodies
+// alias the image and must not be modified.
+func (r *Recommender) Rules() []rules.Rule {
+	rt := r.image.Rules()
+	out := make([]rules.Rule, r.image.Meta().NumFinal)
+	for i := range out {
+		out[i] = ruleAt(rt, int32(i))
+	}
+	return out
+}
 
 // Stats returns construction statistics, as sealed into the image.
 func (r *Recommender) Stats() BuildStats {

@@ -239,14 +239,14 @@ func TestDefaultRuleAlwaysRecommends(t *testing.T) {
 	// A basket of items never seen in training still gets the default
 	// recommendation.
 	got := rec.Recommend(model.Basket{{Item: s.item["Beer"], Promo: s.pr["Beer"], Qty: 1}})
-	if got.Rule == nil {
+	if got.Idx < 0 {
 		t.Fatal("no recommendation for unseen basket")
 	}
 	if got.Item != s.item["Lipstick"] {
 		t.Errorf("default recommendation = %v, want the only observed target", s.cat.Item(got.Item).Name)
 	}
 	// Empty basket too.
-	if got := rec.Recommend(nil); got.Rule == nil || !got.Rule.IsDefault() {
+	if got := rec.Recommend(nil); got.Idx < 0 || rec.Sealed().Rules().BodyLen(got.Idx) != 0 {
 		t.Error("empty basket must fall back to the default rule")
 	}
 }
@@ -339,7 +339,7 @@ func TestExplain(t *testing.T) {
 	}
 	// Non-default recommendations have at least one fallback line ending
 	// at the default rule.
-	if !r.Rule.IsDefault() && len(lines) < 2 {
+	if rec.Sealed().Rules().BodyLen(r.Idx) != 0 && len(lines) < 2 {
 		t.Error("Explain missing lineage")
 	}
 }

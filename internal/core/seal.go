@@ -17,9 +17,8 @@ import (
 // the final rules in MPF rank order followed by the per-item alternates
 // (alt, in matcher trie order) not already present: the exact set and
 // order the serving layer enumerates. Every derived string and response
-// blob is rendered here, once, so serving never re-derives them. It
-// returns the image and the rule behind each rule-table index.
-func seal(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, mainView, altView rules.TrieView, st BuildStats) ([]byte, []*rules.Rule, error) {
+// blob is rendered here, once, so serving never re-derives them.
+func seal(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, mainView, altView rules.TrieView, st BuildStats) ([]byte, error) {
 	table := append([]*rules.Rule(nil), final...)
 	idxOf := make(map[*rules.Rule]int32, len(final)+len(alt))
 	for i, r := range final {
@@ -34,7 +33,7 @@ func seal(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, mainView
 
 	w, err := arena.NewWriter()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cat := space.Catalog()
 	sealCatalog(w, cat)
@@ -42,13 +41,13 @@ func seal(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, mainView
 	w.PutI32(arena.SecExpOff, exp.Off)
 	w.PutGen(arena.SecExpPool, exp.Pool)
 	if err := sealRules(w, space, root, table, idxOf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := sealTrie(w, arena.SecTrieItem, mainView, idxOf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := sealTrie(w, arena.SecAltItem, altView, idxOf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w.SetMeta(arena.Meta{
 		NumItems:        cat.NumItems(),
@@ -63,11 +62,7 @@ func seal(space *hierarchy.Space, root *Node, final, alt []*rules.Rule, mainView
 		TrieRootHi:      mainView.RootHi,
 		AltRootHi:       altView.RootHi,
 	})
-	data, err := w.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, table, nil
+	return w.Finish()
 }
 
 // sealCatalog fills the catalog sections: names pooled with offsets,

@@ -16,6 +16,7 @@ package feedback
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -95,8 +96,9 @@ func segments(dir string) ([]int, error) {
 // live segment's tail is repaired first: a torn or corrupted final frame
 // — the signature of a crash mid-append — is truncated away so new
 // appends extend a clean prefix. Call Replay before OpenWAL to rebuild
-// state; replay applies the same tail tolerance, so the two always agree
-// on where the log ends.
+// state; both find the log's end with the same frame walk (scanSegment),
+// so they always agree on it, and a live segment whose magic is whole
+// but wrong is refused by both and left as it is.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = 64 << 20
@@ -120,32 +122,36 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	}
 	last := segs[len(segs)-1]
 	path := filepath.Join(dir, segName(last))
-	valid, err := validPrefix(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("feedback: reading live segment: %w", err)
+	}
+	end, _, err := scanSegment(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s", err, path)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: opening live segment: %w", err)
 	}
-	if err := f.Truncate(valid); err != nil {
+	if err := f.Truncate(int64(end)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("feedback: repairing torn tail of %s: %w", path, err)
 	}
-	if valid < int64(len(segMagic)) {
+	if end == 0 {
 		// The crash hit segment creation itself: restore the magic so the
 		// segment stays parseable.
 		if _, err := f.Write([]byte(segMagic)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("feedback: rewriting segment magic: %w", err)
 		}
-		valid = int64(len(segMagic))
+		end = len(segMagic)
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.f, w.seg, w.size = f, last, valid
+	w.f, w.seg, w.size = f, last, int64(end)
 	return w, nil
 }
 
@@ -272,7 +278,8 @@ type ReplayStats struct {
 // fn. A torn or corrupted frame in the LAST segment is treated as the
 // tail of a crashed append: replay stops cleanly there and reports the
 // dropped bytes. The same damage in an earlier (sealed) segment is real
-// data loss and fails the replay. fn returning an error aborts.
+// data loss and fails the replay, as does a segment whose magic is whole
+// but wrong. fn returning an error aborts.
 func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
 	var rs ReplayStats
 	segs, err := segments(dir)
@@ -284,69 +291,29 @@ func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
 	}
 	rs.Segments = len(segs)
 	for n, i := range segs {
-		last := n == len(segs)-1
-		dropped, records, err := replaySegment(filepath.Join(dir, segName(i)), last, fn)
-		rs.Records += records
+		path := filepath.Join(dir, segName(i))
+		data, err := os.ReadFile(path)
 		if err != nil {
+			return rs, fmt.Errorf("feedback: reading segment: %w", err)
+		}
+		end, damage, err := scanSegment(data, func(payload []byte) error {
+			if err := fn(payload); err != nil {
+				return err
+			}
+			rs.Records++
+			return nil
+		})
+		switch {
+		case errors.Is(err, errNotSegment):
+			return rs, fmt.Errorf("%w: %s", err, path)
+		case err != nil:
 			return rs, err
+		case damage != "" && n < len(segs)-1:
+			return rs, fmt.Errorf("feedback: sealed segment %s corrupt: %s", path, damage)
 		}
-		if dropped > 0 {
-			rs.DroppedBytes += dropped
-		}
+		rs.DroppedBytes += int64(len(data) - end)
 	}
 	return rs, nil
-}
-
-// replaySegment replays one segment. When tailOK, a malformed frame ends
-// the segment silently (returning the dropped byte count); otherwise it
-// is an error.
-func replaySegment(path string, tailOK bool, fn func([]byte) error) (dropped, records int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("feedback: reading segment: %w", err)
-	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		if tailOK && len(data) < len(segMagic) {
-			// Crashed between segment creation and the magic write.
-			return int64(len(data)), 0, nil
-		}
-		return 0, 0, fmt.Errorf("feedback: %s is not a WAL segment", path)
-	}
-	off := len(segMagic)
-	for off < len(data) {
-		rest := len(data) - off
-		bad := ""
-		var payload []byte
-		if rest < frameHeader {
-			bad = "torn frame header"
-		} else {
-			n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-			crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			switch {
-			case n == 0 || n > maxRecordBytes:
-				bad = fmt.Sprintf("impossible record length %d", n)
-			case rest < frameHeader+n:
-				bad = "torn record payload"
-			default:
-				payload = data[off+frameHeader : off+frameHeader+n]
-				if crc32.Checksum(payload, castagnoli) != crc {
-					bad = "CRC mismatch"
-				}
-			}
-		}
-		if bad != "" {
-			if tailOK {
-				return int64(len(data) - off), records, nil
-			}
-			return 0, records, fmt.Errorf("feedback: sealed segment %s corrupt at offset %d: %s", path, off, bad)
-		}
-		if err := fn(payload); err != nil {
-			return 0, records, err
-		}
-		records++
-		off += frameHeader + len(payload)
-	}
-	return 0, records, nil
 }
 
 // SealedSegmentPaths lists the sealed WAL segments of dir in ascending
@@ -391,65 +358,56 @@ func SegmentSeq(path string) (int, error) {
 // tolerated tail. This is the validation the cluster aggregator runs on
 // shipped segments before admitting them to the spool.
 func ParseSegment(data []byte, fn func(payload []byte) error) error {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return fmt.Errorf("feedback: not a WAL segment")
+	_, damage, err := scanSegment(data, fn)
+	if err == nil && damage != "" {
+		err = fmt.Errorf("feedback: %s", damage)
+	}
+	return err
+}
+
+// errNotSegment refuses a file whose magic is whole but wrong: no prefix
+// of it is a log, so nothing may replay, repair or admit it.
+var errNotSegment = errors.New("feedback: not a WAL segment")
+
+// scanSegment is the one frame walk over a segment image, which Replay,
+// ParseSegment and OpenWAL's tail repair share so that they cannot
+// disagree on where a log ends. It checks the magic, calls fn (when
+// non-nil) on the payload of each intact frame in order, and returns
+// end, the length of the intact prefix: the end of the last intact
+// frame, or of the magic. damage says why the image does not end there,
+// "" when it does; a magic cut short (a crash at segment creation) is
+// damage with end 0. err is errNotSegment for a whole but wrong magic,
+// or what fn returned.
+func scanSegment(data []byte, fn func(payload []byte) error) (end int, damage string, err error) {
+	if len(data) < len(segMagic) {
+		return 0, "torn segment magic", nil
+	}
+	if string(data[:len(segMagic)]) != segMagic {
+		return 0, "", errNotSegment
 	}
 	off := len(segMagic)
 	for off < len(data) {
 		rest := len(data) - off
 		if rest < frameHeader {
-			return fmt.Errorf("feedback: torn frame header at offset %d", off)
+			return off, fmt.Sprintf("torn frame header at offset %d", off), nil
 		}
 		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
 		if n == 0 || n > maxRecordBytes {
-			return fmt.Errorf("feedback: impossible record length %d at offset %d", n, off)
+			return off, fmt.Sprintf("impossible record length %d at offset %d", n, off), nil
 		}
 		if rest < frameHeader+n {
-			return fmt.Errorf("feedback: torn record payload at offset %d", off)
+			return off, fmt.Sprintf("torn record payload at offset %d", off), nil
 		}
 		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return fmt.Errorf("feedback: CRC mismatch at offset %d", off)
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
+			return off, fmt.Sprintf("CRC mismatch at offset %d", off), nil
 		}
-		if err := fn(payload); err != nil {
-			return err
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return off, "", err
+			}
 		}
 		off += frameHeader + n
 	}
-	return nil
-}
-
-// validPrefix scans a segment and returns the byte offset of the end of
-// its last intact frame — the truncation point for tail repair. A file
-// without even an intact magic (crash at segment creation) has a valid
-// prefix of 0.
-func validPrefix(path string) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return 0, nil
-	}
-	off := int64(len(segMagic))
-	valid := off
-	for off < int64(len(data)) {
-		rest := int64(len(data)) - off
-		if rest < frameHeader {
-			break
-		}
-		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxRecordBytes || rest < frameHeader+n {
-			break
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
-		}
-		off += frameHeader + n
-		valid = off
-	}
-	return valid, nil
+	return off, "", nil
 }

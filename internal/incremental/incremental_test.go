@@ -259,9 +259,11 @@ func TestRefreshStagesByteIdenticalCandidate(t *testing.T) {
 	}
 }
 
-// TestOnDriftLogsRejection: a gate rejection surfaces in the log and
+// TestOnDriftLogsRejection: a rejected refresh surfaces in the log and
 // leaves the active model alone — a drift alarm must never replace the
-// serving model with a candidate the registry refused.
+// serving model with a candidate the registry refused. The refresher
+// submits against a catalog the model was not built over, which
+// Validate refuses.
 func TestOnDriftLogsRejection(t *testing.T) {
 	ds, space := groceryWorld(t, 600, 5)
 	opts := mining.Options{MinSupport: 0.01}
@@ -270,22 +272,20 @@ func TestOnDriftLogsRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gateClosed := false
-	reg, err := registry.New(registry.Options{
-		Gate: func(cat *model.Catalog, rec *core.Recommender, active *registry.Snapshot) error {
-			if gateClosed {
-				return fmt.Errorf("gate closed")
-			}
-			return nil
-		},
-	})
+	reg, err := registry.New(registry.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, outcome, err := reg.Submit(ds.Catalog, maint.Recommender(), "initial", ""); err != nil || outcome != registry.Promoted {
+		t.Fatalf("initial submit: outcome %v, err %v", outcome, err)
+	}
+	active := reg.Active()
+
+	other, _ := groceryWorld(t, 600, 5)
 	var lines []string
 	r, err := NewRefresher(RefreshConfig{
 		Maintainer: maint,
-		Catalog:    ds.Catalog,
+		Catalog:    other.Catalog,
 		Source:     ds.Transactions,
 		Start:      400,
 		Slide:      100,
@@ -295,14 +295,8 @@ func TestOnDriftLogsRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, outcome, err := r.SubmitCurrent("initial"); err != nil || outcome != registry.Promoted {
-		t.Fatalf("initial submit: outcome %v, err %v", outcome, err)
-	}
-	active := reg.Active()
-
-	gateClosed = true
 	r.OnDrift()
-	if len(lines) != 1 || !strings.Contains(lines[0], "rejected") {
+	if len(lines) != 1 || !strings.Contains(lines[0], "rejected") || !strings.Contains(lines[0], "different catalog") {
 		t.Errorf("rejected refresh logged %q", lines)
 	}
 	if reg.Active() != active {

@@ -74,8 +74,9 @@ type modelFile struct {
 }
 
 // Save writes a recommender's v2 JSON export with its catalog and
-// hierarchy spec. It needs the build output (covering tree and rules),
-// which an image opened from disk does not carry.
+// hierarchy spec. It needs the build output (space and covering tree),
+// which an image opened from disk does not carry; the alternates come
+// off the image.
 func Save(w io.Writer, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core.Recommender) error {
 	space := rec.Space()
 	if space == nil {
@@ -98,7 +99,7 @@ func Save(w io.Writer, cat *model.Catalog, spec *dataio.HierarchySpec, rec *core
 		return err
 	}
 	for _, r := range rec.Alternates() {
-		rj, err := enc.rule(r)
+		rj, err := enc.rule(&r)
 		if err != nil {
 			return err
 		}

@@ -19,9 +19,9 @@ import (
 
 // sealedWorld builds the grocery model (hierarchy, MOA, multi-promo
 // items) and reopens its sealed image, returning the built recommender,
-// the opened one, and probe baskets drawn from the training
-// transactions.
-func sealedWorld(t testing.TB) (*model.Catalog, *core.Recommender, *core.Recommender, []model.Basket) {
+// the opened one, probe baskets drawn from the training transactions,
+// and the mined rules the model was built from.
+func sealedWorld(t testing.TB) (*model.Catalog, *core.Recommender, *core.Recommender, []model.Basket, *mining.Result) {
 	t.Helper()
 	g := datagen.NewGrocery(800, 11)
 	space, err := g.Builder.Compile(hierarchy.Options{MOA: true})
@@ -44,7 +44,7 @@ func sealedWorld(t testing.TB) (*model.Catalog, *core.Recommender, *core.Recomme
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sealed.Tree() != nil || sealed.Rules() != nil {
+	if sealed.Tree() != nil || sealed.Space() != nil {
 		t.Fatal("an opened image carries build output")
 	}
 	baskets := make([]model.Basket, 0, 256)
@@ -53,16 +53,16 @@ func sealedWorld(t testing.TB) (*model.Catalog, *core.Recommender, *core.Recomme
 			baskets = append(baskets, bk)
 		}
 	}
-	return g.Dataset.Catalog, heap, sealed, baskets
+	return g.Dataset.Catalog, heap, sealed, baskets, mined
 }
 
-// wireRef renders the /recommend object of one built-model
-// recommendation from build output alone: the fired rule's own
-// measures, string and stable ID, its covering-tree lineage and the
-// catalog promo. It is the reference the sealed blob and explanation
-// are checked against, independent of the image's rule columns.
-func wireRef(cat *model.Catalog, built *core.Recommender, rec core.Recommendation) core.WireRecommendation {
-	space, rule := built.Space(), rec.Rule
+// wireRef renders the /recommend object of a fired mined rule from build
+// output alone: the rule's own measures, string and stable ID, its
+// covering-tree lineage and the catalog promo. It is the reference the
+// sealed blob and explanation are checked against, independent of the
+// image's rule columns.
+func wireRef(cat *model.Catalog, built *core.Recommender, rule *rules.Rule) core.WireRecommendation {
+	space := built.Space()
 	item, promo := space.ItemOf(rule.Head), space.PromoOf(rule.Head)
 	id := rules.StableID(space, rule)
 	explain := []string{fmt.Sprintf("recommend %s [rule %s]: fired %s", space.Name(rule.Head), id, rule.String(space))}
@@ -100,9 +100,14 @@ func wireRef(cat *model.Catalog, built *core.Recommender, rec core.Recommendatio
 // TestSealedCoreEquivalence pins the opened image to the built model at
 // the core API level: same pick, same top-K ranking and rule IDs, and
 // for every slot the explanation and wire blob the build output itself
-// implies (wireRef), for every probe basket.
+// implies (wireRef), for every probe basket. The reference finds each
+// slot's mined rule by the slot's stable ID.
 func TestSealedCoreEquivalence(t *testing.T) {
-	cat, built, opened, baskets := sealedWorld(t)
+	cat, built, opened, baskets, mined := sealedWorld(t)
+	byID := map[string]*rules.Rule{}
+	for _, r := range mined.AllRules() {
+		byID[rules.StableID(built.Space(), r)] = r
+	}
 	if got, want := opened.Stats(), built.Stats(); got != want {
 		t.Fatalf("opened stats %+v != built stats %+v", got, want)
 	}
@@ -114,13 +119,11 @@ func TestSealedCoreEquivalence(t *testing.T) {
 			t.Fatalf("basket %d rank %d: built item %d promo %d [%s], opened item %d promo %d [%s]",
 				bi, rank, b.Item, b.Promo, b.ID, o.Item, o.Promo, o.ID)
 		}
-		if o.Idx < 0 || b.Rule == nil {
-			t.Fatalf("basket %d rank %d: no rule-table index or no fired rule", bi, rank)
+		rule := byID[b.ID]
+		if o.Idx < 0 || b.Idx < 0 || rule == nil {
+			t.Fatalf("basket %d rank %d: no rule-table index or no mined rule with ID %s", bi, rank, b.ID)
 		}
-		ref := wireRef(cat, built, b)
-		if b.ID != ref.RuleID {
-			t.Fatalf("basket %d rank %d: ID %s, fired rule's stable ID %s", bi, rank, b.ID, ref.RuleID)
-		}
+		ref := wireRef(cat, built, rule)
 		want := strings.Join(ref.Explain, "\n")
 		for name, got := range map[string][]string{"built": built.Explain(b), "opened": opened.Explain(o)} {
 			if g := strings.Join(got, "\n"); g != want {
@@ -163,7 +166,7 @@ func TestSealedRecommendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on instrumented paths")
 	}
-	_, _, sealed, baskets := sealedWorld(t)
+	_, _, sealed, baskets, _ := sealedWorld(t)
 	dst := make([]core.Recommendation, 0, 8)
 	for _, bk := range baskets { // warm scratch pools
 		sealed.Recommend(bk)
@@ -255,7 +258,7 @@ func TestResealStability(t *testing.T) {
 // so Seal hands out that very image instead of sealing a second time,
 // and refuses a catalog the model was not built over.
 func TestSealReturnsBuiltImage(t *testing.T) {
-	cat, built, _, _ := sealedWorld(t)
+	cat, built, _, _, _ := sealedWorld(t)
 	data, err := Seal(cat, built)
 	if err != nil {
 		t.Fatal(err)

@@ -64,17 +64,6 @@ type Options struct {
 	// must accumulate before it is auto-promoted (default 32).
 	ShadowMinSamples int
 
-	// Gate, when non-nil, is a state-dependent admission check run after
-	// Validate: it receives the candidate together with the currently
-	// active snapshot (nil before the first promotion) and rejects the
-	// candidate by returning an error — e.g. comparing the candidate's
-	// golden-basket answers or projected profit against the active
-	// model's. Unlike Validate it may depend on registry state, so a
-	// candidate it rejects can become acceptable later without its bytes
-	// changing; the file watcher accounts for that by retrying remembered
-	// rejections whenever the active version changes.
-	Gate func(cat *model.Catalog, rec *core.Recommender, active *Snapshot) error
-
 	// OnPromote, when non-nil, is called with each snapshot right after
 	// it becomes active — the hook the feedback loop uses to register the
 	// new model's rule projections and clear the drift detector. It runs
@@ -204,11 +193,6 @@ func (o Outcome) String() string {
 func (r *Registry) Submit(cat *model.Catalog, rec *core.Recommender, source, _ string) (*Snapshot, Outcome, error) {
 	if err := Validate(cat, rec, r.opts.Probes); err != nil {
 		return nil, Rejected, err
-	}
-	if r.opts.Gate != nil {
-		if err := r.opts.Gate(cat, rec, r.Active()); err != nil {
-			return nil, Rejected, fmt.Errorf("admission gate: %w", err)
-		}
 	}
 	r.mu.Lock()
 	r.versions++

@@ -34,10 +34,9 @@ import (
 //
 // A candidate that fails to load or validate is remembered by hash so
 // the poll loop does not re-parse the same broken file every interval;
-// the active snapshot keeps serving. A rejection memo is keyed on the
-// active version too: rejections can be state-dependent (Options.Gate
-// compares candidates against the then-active snapshot), so the same
-// bytes are retried once the active model changes.
+// the active snapshot keeps serving. A rejection depends only on the
+// candidate's bytes (Validate reads no registry state), so the memo is
+// just the last content key seen, accepted or rejected.
 type Watcher struct {
 	reg      *Registry
 	path     string
@@ -51,9 +50,7 @@ type Watcher struct {
 	lastSize   int64
 	lastReadAt time.Time // when the memoized stat was taken
 
-	lastHash       string // last content hash seen, accepted or rejected
-	lastRejected   bool   // whether lastHash was rejected
-	lastHashActive int    // active version when lastHash was memoized
+	lastHash string // last content key seen, accepted or rejected
 }
 
 // mtimeSlack is how much older than its read a memoized mtime must be
@@ -121,8 +118,7 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 		// memo's raced-writer caveat is covered by mtimeSlack, which
 		// re-reads until the tick has safely passed.
 		w.lastMod, w.lastSize, w.lastReadAt = info.ModTime(), info.Size(), time.Now()
-		activeVer, seen := w.memoized(hash)
-		if seen || w.serving(hash, activeVer) {
+		if w.memoized(hash) || w.serving(hash) {
 			return nil, Unchanged, nil
 		}
 	}
@@ -153,11 +149,9 @@ func (w *Watcher) Check() (*Snapshot, Outcome, error) {
 	// file will carry — the next poll after the writer finishes sees a
 	// key the memo does not cover.
 	key := HashBytes(data)
-	activeVer, seen := w.memoized(key)
-	if seen {
+	if w.memoized(key) {
 		return nil, Unchanged, nil
 	}
-	w.lastRejected, w.lastHashActive = true, activeVer
 	w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, key, err)
 	return nil, Rejected, fmt.Errorf("load candidate: %w", err)
 }
@@ -175,46 +169,30 @@ func (w *Watcher) headerHash() (string, error) {
 	return arena.HeaderHash(prefix[:n])
 }
 
-// memoized runs the memo for a freshly determined key: the last key
-// seen covers it, unless that key was rejected against an active
-// version that no longer serves (gate rejections are state-dependent).
-// Otherwise key is memoized as in progress and the caller loads.
-func (w *Watcher) memoized(key string) (activeVer int, seen bool) {
-	if a := w.reg.Active(); a != nil {
-		activeVer = a.Version
-	}
-	if key == w.lastHash && (!w.lastRejected || activeVer == w.lastHashActive) {
-		return activeVer, true
-	}
-	w.lastHash = key
-	return activeVer, false
-}
-
-// serving reports whether the registry already serves or stages the
-// model identified by hash (e.g. an in-process refresh promoted it),
-// memoizing the current key as accepted if so: nothing to resubmit.
-func (w *Watcher) serving(hash string, activeVer int) bool {
-	a, st := w.reg.Active(), w.reg.Staged()
-	if (a != nil && a.Hash == hash) || (st != nil && st.Hash == hash) {
-		w.lastRejected, w.lastHashActive = false, activeVer
+// memoized reports whether key is the last content key seen, and
+// memoizes it otherwise: the caller then loads it, and the next poll
+// over the same bytes does not.
+func (w *Watcher) memoized(key string) bool {
+	if key == w.lastHash {
 		return true
 	}
+	w.lastHash = key
 	return false
 }
 
-// submit feeds a loaded candidate through the registry and memoizes the
-// outcome against the post-Submit active version: when this very Submit
-// promoted the candidate, the memo must not read our own promotion as
-// an invalidation on the next poll.
+// serving reports whether the registry already serves or stages the
+// model identified by hash (e.g. an in-process refresh promoted it):
+// nothing to resubmit.
+func (w *Watcher) serving(hash string) bool {
+	a, st := w.reg.Active(), w.reg.Staged()
+	return (a != nil && a.Hash == hash) || (st != nil && st.Hash == hash)
+}
+
+// submit feeds a loaded candidate through the registry; its key is
+// already memoized, whatever the outcome.
 func (w *Watcher) submit(cat *model.Catalog, rec *core.Recommender) (*Snapshot, Outcome, error) {
 	hash := rec.Sealed().ContentHash()
 	snap, outcome, err := w.reg.Submit(cat, rec, w.path, "")
-	w.lastRejected = err != nil
-	if a := w.reg.Active(); a != nil {
-		w.lastHashActive = a.Version
-	} else {
-		w.lastHashActive = 0
-	}
 	if err != nil {
 		w.logf("registry: candidate %s (%.8s) rejected: %v", w.path, hash, err)
 		return nil, outcome, err

@@ -3,7 +3,6 @@ package registry
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -185,10 +184,6 @@ func TestWatcherRunPromotesWithinPollInterval(t *testing.T) {
 	}
 }
 
-// errGateClosed is what the state-dependent admission gate below
-// returns while strict.
-var errGateClosed = errors.New("gate closed")
-
 // TestWatcherSameTickSameSizeRewrite pins the "racily clean" hazard on
 // the rejection path: a rewrite that keeps the size and lands within the
 // same mtime tick as the read that memoized the stat. The files here are
@@ -234,75 +229,6 @@ func TestWatcherSameTickSameSizeRewrite(t *testing.T) {
 	writeAt(junkB)
 	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
 		t.Fatalf("same-tick same-size rewrite missed: outcome %v, err %v", outcome, err)
-	}
-}
-
-// TestWatcherRetriesRejectionAfterPromotion pins the rejection-memo
-// scope: a candidate rejected by a state-dependent admission gate must
-// be retried once the active version changes, while the memo still
-// suppresses re-submission under the version it was rejected against.
-func TestWatcherRetriesRejectionAfterPromotion(t *testing.T) {
-	catA, recA := buildGrocery(t, 800, 3)
-	catB, recB := buildGrocery(t, 1000, 7)
-	catC, recC := buildGrocery(t, 1200, 11)
-	sealedA := sealModel(t, catA, recA)
-	sealedB := sealModel(t, catB, recB)
-
-	var strict atomic.Bool
-	reg, err := New(Options{
-		Gate: func(cat *model.Catalog, rec *core.Recommender, active *Snapshot) error {
-			if strict.Load() {
-				return errGateClosed
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.pma")
-	w, err := NewWatcher(reg, path, 50*time.Millisecond, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	writeFile(t, path, sealedA)
-	if _, outcome, err := w.Check(); err != nil || outcome != Promoted {
-		t.Fatalf("initial model: outcome %v, err %v", outcome, err)
-	}
-
-	// The gate turns strict and rejects candidate B.
-	strict.Store(true)
-	writeFile(t, path, sealedB)
-	if _, outcome, err := w.Check(); err == nil || outcome != Rejected {
-		t.Fatalf("gated candidate: outcome %v, err %v", outcome, err)
-	}
-	// Same bytes under the same active version: the memo holds, no
-	// re-submission.
-	if _, outcome, err := w.Check(); err != nil || outcome != Unchanged {
-		t.Fatalf("memoized rejection re-submitted: outcome %v, err %v", outcome, err)
-	}
-
-	// A different model promotes out of band (an in-process delta refresh
-	// would do this), and the gate relaxes.
-	strict.Store(false)
-	if _, outcome, err := reg.Submit(catC, recC, "direct", ""); err != nil || outcome != Promoted {
-		t.Fatalf("direct promotion: outcome %v, err %v", outcome, err)
-	}
-	if reg.Active().Version != 2 {
-		t.Fatalf("active version %d, want 2", reg.Active().Version)
-	}
-
-	// The file still holds the once-rejected bytes. With the memo keyed
-	// on hash alone the watcher never retried them; now that the active
-	// version changed they must go through the gate again.
-	writeFile(t, path, sealedB)
-	snap, outcome, err := w.Check()
-	if err != nil || outcome != Promoted {
-		t.Fatalf("retry after promotion: outcome %v, err %v", outcome, err)
-	}
-	if snap.Hash != recB.Sealed().ContentHash() || reg.Active().Version != 3 {
-		t.Fatalf("retry promoted %.8s as version %d", snap.Hash, reg.Active().Version)
 	}
 }
 

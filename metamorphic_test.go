@@ -30,6 +30,9 @@ func TestDuplicationInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Recommend fires only final rules, which Rules lists by rule-table
+	// index.
+	rules1, rules2 := rec1.Rules(), rec2.Rules()
 	for i := range g.Dataset.Transactions {
 		basket := g.Dataset.Transactions[i].NonTarget
 		a, b := rec1.Recommend(basket), rec2.Recommend(basket)
@@ -39,15 +42,16 @@ func TestDuplicationInvariance(t *testing.T) {
 		}
 		// The fired rules' relative measures match: doubled counts, equal
 		// ProfRe and confidence.
-		if math.Abs(a.Rule.ProfRe()-b.Rule.ProfRe()) > 1e-9 {
-			t.Fatalf("basket %d: ProfRe changed: %g vs %g", i, a.Rule.ProfRe(), b.Rule.ProfRe())
+		ra, rb := rules1[a.Idx], rules2[b.Idx]
+		if math.Abs(ra.ProfRe()-rb.ProfRe()) > 1e-9 {
+			t.Fatalf("basket %d: ProfRe changed: %g vs %g", i, ra.ProfRe(), rb.ProfRe())
 		}
-		if math.Abs(a.Rule.Conf()-b.Rule.Conf()) > 1e-9 {
+		if math.Abs(ra.Conf()-rb.Conf()) > 1e-9 {
 			t.Fatalf("basket %d: confidence changed", i)
 		}
-		if b.Rule.BodyCount != 2*a.Rule.BodyCount || b.Rule.HitCount != 2*a.Rule.HitCount {
+		if rb.BodyCount != 2*ra.BodyCount || rb.HitCount != 2*ra.HitCount {
 			t.Fatalf("basket %d: counts not doubled: %d/%d vs %d/%d",
-				i, a.Rule.BodyCount, a.Rule.HitCount, b.Rule.BodyCount, b.Rule.HitCount)
+				i, ra.BodyCount, ra.HitCount, rb.BodyCount, rb.HitCount)
 		}
 	}
 }
@@ -94,6 +98,7 @@ func TestProfitScaleEquivariance(t *testing.T) {
 	g1, rec1 := build(1)
 	_, rec2 := build(k)
 
+	rules1, rules2 := rec1.Rules(), rec2.Rules()
 	for i := range g1.Dataset.Transactions {
 		// Catalogs are built in the same order, so IDs (and therefore
 		// baskets) are positionally identical across the two builds.
@@ -102,8 +107,9 @@ func TestProfitScaleEquivariance(t *testing.T) {
 		if a.Item != b.Item || a.Promo != b.Promo {
 			t.Fatalf("basket %d: scaling changed the recommendation", i)
 		}
-		if math.Abs(b.Rule.Profit-k*a.Rule.Profit) > 1e-6*(1+math.Abs(a.Rule.Profit)) {
-			t.Fatalf("basket %d: rule profit not scaled by %g: %g vs %g", i, k, a.Rule.Profit, b.Rule.Profit)
+		pa, pb := rules1[a.Idx].Profit, rules2[b.Idx].Profit
+		if math.Abs(pb-k*pa) > 1e-6*(1+math.Abs(pa)) {
+			t.Fatalf("basket %d: rule profit not scaled by %g: %g vs %g", i, k, pa, pb)
 		}
 	}
 }
@@ -126,14 +132,16 @@ func TestQuantityScaleLinearity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rules1, rules2 := rec1.Rules(), rec2.Rules()
 	for i := range g.Dataset.Transactions {
 		a := rec1.Recommend(g.Dataset.Transactions[i].NonTarget)
 		b := rec2.Recommend(scaled.Transactions[i].NonTarget)
 		if a.Item != b.Item || a.Promo != b.Promo {
 			t.Fatalf("basket %d: quantity scaling changed the recommendation", i)
 		}
-		if math.Abs(b.Rule.Profit-5*a.Rule.Profit) > 1e-9*(1+math.Abs(a.Rule.Profit)) {
-			t.Fatalf("basket %d: profit not scaled ×5: %g vs %g", i, a.Rule.Profit, b.Rule.Profit)
+		pa, pb := rules1[a.Idx].Profit, rules2[b.Idx].Profit
+		if math.Abs(pb-5*pa) > 1e-9*(1+math.Abs(pa)) {
+			t.Fatalf("basket %d: profit not scaled ×5: %g vs %g", i, pa, pb)
 		}
 	}
 }

@@ -37,7 +37,7 @@
 //	ds := &profitmining.Dataset{Catalog: cat, Transactions: ...}
 //	rec, err := profitmining.Build(ds, profitmining.Options{MinSupport: 0.01})
 //	r := rec.Recommend(profitmining.Basket{{Item: bread, Promo: breadP, Qty: 1}})
-//	// r.Item, r.Promo — and r.Rule explains why.
+//	// r.Item, r.Promo — and rec.Explain(r) explains why.
 //
 // The subpackages under internal implement the substrates (hierarchy
 // compilation, the Apriori-style miner, the covering tree, the IBM-Quest
@@ -94,7 +94,7 @@ type (
 
 	// Recommender is the built profit-mining model.
 	Recommender = core.Recommender
-	// Recommendation is one recommended ⟨item, promo⟩ with its rule.
+	// Recommendation is one recommended ⟨item, promo⟩ with its fired rule's ID.
 	Recommendation = core.Recommendation
 	// BuildStats reports model-construction statistics.
 	BuildStats = core.BuildStats

@@ -27,7 +27,7 @@ func TestBuildAndRecommendGrocery(t *testing.T) {
 	if r.Item != g.Items["Sunchip"] {
 		t.Errorf("beer basket → %v, want Sunchip", g.Dataset.Catalog.Item(r.Item).Name)
 	}
-	if r.Rule == nil {
+	if r.Idx < 0 {
 		t.Fatal("recommendation carries no rule")
 	}
 	if len(rec.Explain(r)) == 0 {

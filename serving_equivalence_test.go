@@ -100,7 +100,7 @@ func recommendationTranscript(t *testing.T, ds *profitmining.Dataset, opts profi
 		}
 		fmt.Fprintf(&buf, "basket %d:", i)
 		for _, r := range top {
-			fmt.Fprintf(&buf, " ⟨%d,%d⟩rule%d", r.Item, r.Promo, r.Rule.Order)
+			fmt.Fprintf(&buf, " ⟨%d,%d⟩rule%d", r.Item, r.Promo, rec.Sealed().Rules().Order[r.Idx])
 		}
 		buf.WriteByte('\n')
 	}
